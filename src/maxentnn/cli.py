@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .core import MaxEntParams, Dataset, Prediction, predict_batch
+from .core import MaxEntParams, Prediction, predict_batch
 from .errors import LayupParseError, MaxentError, ParameterError
 from .evaluation import ToySpec, metrics, run_toy_experiment
 from .laminate import (
@@ -34,10 +34,12 @@ from .pipeline import (
     OnlineStore,
     apply_imputer,
     apply_scaler,
-    fit_imputer,
-    fit_scaler,
+    prepare_dataset,
+    read_numeric_csv,
     read_records,
 )
+# imported for perfbench/tracing.py, which wraps them as attributes of this module
+from .pipeline import fit_imputer, fit_scaler  # noqa: F401
 
 _PARAM_FLAGS = (
     ("threshold_filter", float),
@@ -75,7 +77,14 @@ def _parallelism(args) -> int:
     if getattr(args, "parallel", None) is not None:
         return max(1, args.parallel)
     env = os.environ.get("MAXENT_PARALLEL")
-    return max(1, int(env)) if env else 1
+    try:
+        return max(1, int(env)) if env else 1
+    except ValueError:
+        raise _UsageError(f"MAXENT_PARALLEL must be an integer, got {env!r}") from None
+
+
+def _scaler_kind(args) -> str | None:
+    return None if args.scaler == "none" else args.scaler
 
 
 def _fmt(value) -> str:
@@ -158,30 +167,6 @@ def _cmd_features(args) -> int:
 
 # ---------------------------------------------------------------- tables
 
-def _read_numeric_csv(path: str):
-    """Any headered numeric CSV; empty cells become NaN (missing)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MaxentError(f"{path}: empty file") from None
-        rows = []
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise MaxentError(f"{path}:{lineno}: expected {len(header)} cells")
-            rows.append([float(c) if c != "" else np.nan for c in cells])
-    data = np.array(rows, dtype=float) if rows else np.zeros((0, len(header)))
-    return header, data
-
-
-def _load_training_table(path: str):
-    header, data = _read_numeric_csv(path)
-    if header and header[-1] == "D":
-        return header[:-1], data[:, :-1], data[:, -1]
-    raise MaxentError(f"{path}: last column must be the target 'D', got {header[-1:]}")
-
-
 def _column_diff(expected, got) -> str:
     missing = [c for c in expected if c not in got]
     extra = [c for c in got if c not in expected]
@@ -189,7 +174,7 @@ def _column_diff(expected, got) -> str:
 
 
 def _load_queries(path: str, feature_columns):
-    header, data = _read_numeric_csv(path)
+    header, data = read_numeric_csv(path)
     if header == list(feature_columns) + ["D"]:
         return data[:, :-1]
     if header == list(feature_columns):
@@ -198,28 +183,18 @@ def _load_queries(path: str, feature_columns):
                       + _column_diff(feature_columns, header))
 
 
-def _cmd_predict(args) -> int:
-    columns, rows, targets = _load_training_table(args.table)
-    queries = _load_queries(args.queries, columns)
-    params = _params_from(args)
-
-    mask = ~np.isfinite(rows)
-    imputer = fit_imputer(FeatureTable(np.where(mask, np.nan, rows), mask,
-                                       targets, tuple(columns)))
-    filled = apply_imputer(imputer, rows, mask)
-    qmask = ~np.isfinite(queries)
-    queries = apply_imputer(imputer, queries, qmask)
-    if args.scaler != "none":
-        scaler = fit_scaler(filled, args.scaler)
-        filled = apply_scaler(scaler, filled)
+def _serve(dataset, imputer, scaler, queries, params, workers, path) -> int:
+    """Impute and scale ``queries`` as the dataset's rows were, predict them
+    and write the prediction CSV: one row per query, an error row for each
+    failed one. Returns the number of rows written."""
+    queries = apply_imputer(imputer, queries, np.isnan(queries))
+    if scaler is not None:
         queries = apply_scaler(scaler, queries)
-
-    dataset = Dataset(filled, targets.reshape(-1, 1), "regression")
-    results = predict_batch(dataset, queries, params, _parallelism(args))
+    results = predict_batch(dataset, queries, params, workers)
 
     fields = ["index", "prediction", "n_neighbors", "h_star", "exit_reason",
               "iterations", "residual_error", "weight_sum_gap", "rounds", "error"]
-    with open(args.out, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
         for i, res in enumerate(results):
@@ -234,19 +209,25 @@ def _cmd_predict(args) -> int:
             else:
                 writer.writerow([i, "", "", "", "", "", "", "", "",
                                  f"{res.error}: {res.message}"])
-    print(f"predict: wrote {len(results)} row(s) to {args.out}")
+    return len(results)
+
+
+def _cmd_predict(args) -> int:
+    table = FeatureTable.from_csv(args.table)
+    queries = _load_queries(args.queries, table.columns)
+    params = _params_from(args)
+    dataset, imputer, scaler = prepare_dataset(table, _scaler_kind(args))
+    n = _serve(dataset, imputer, scaler, queries, params, _parallelism(args), args.out)
+    print(f"predict: wrote {n} row(s) to {args.out}")
     return 0
 
 
 # ---------------------------------------------------------------- online
 
 def _cmd_append(args) -> int:
-    columns, rows, targets = _load_training_table(args.table)
-    mask = ~np.isfinite(rows)
-    table = FeatureTable(np.where(mask, np.nan, rows), mask, targets, tuple(columns))
-    scaler_kind = None if args.scaler == "none" else args.scaler
+    table = FeatureTable.from_csv(args.table)
     store = OnlineStore.from_table(table, params=_params_from(args),
-                                   scaler_kind=scaler_kind)
+                                   scaler_kind=_scaler_kind(args))
     with open(args.failure_cycles) as fh:
         failure_cycles = {str(k): int(v) for k, v in json.load(fh).items()}
     records, skipped = read_records(args.records, strict=not args.lenient)
@@ -256,17 +237,9 @@ def _cmd_append(args) -> int:
           f"refits={store.refit_count}")
 
     if args.queries:
-        queries = _load_queries(args.queries, columns)
-        fields = ["index", "prediction", "n_neighbors", "h_star", "exit_reason"]
-        with open(args.predictions, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(fields)
-            for i, q in enumerate(queries):
-                pred = store.predict(q)
-                writer.writerow([
-                    i, _fmt(float(np.asarray(pred.value).ravel()[0])),
-                    pred.n_neighbors, _fmt(pred.bandwidth), pred.exit_reason,
-                ])
+        queries = _load_queries(args.queries, table.columns)
+        _serve(store.snapshot(), store.imputer, store.scaler, queries, store.params,
+               _parallelism(args), args.predictions)
         print(f"append: wrote predictions to {args.predictions}")
     return 0
 
@@ -309,6 +282,17 @@ def _cmd_eval(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+def _read_config(path: str) -> dict:
+    with open(path) as fh:
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise _UsageError(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise _UsageError(f"{path}: expected a JSON object of flag defaults")
+    return config
+
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """CLI parser; ``defaults`` (from a config file) pre-seed every flag."""
@@ -403,13 +387,10 @@ def main(argv=None) -> int:
         probe = argparse.ArgumentParser(add_help=False)
         probe.add_argument("--config", default=None)
         known, _ = probe.parse_known_args(argv)
-        defaults = None
-        if known.config:
-            with open(known.config) as fh:
-                defaults = json.load(fh)
+        defaults = _read_config(known.config) if known.config else None
         parser = build_parser(defaults)
         args = parser.parse_args(argv)
-    except OSError as exc:
+    except (OSError, _UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

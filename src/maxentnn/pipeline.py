@@ -1,4 +1,4 @@
-"""Feature assembly, scaling, splitting and append-only online serving.
+"""Feature assembly, table loading, scaling and append-only online serving.
 
 A measurement record (one inspection of one coupon) is turned into a fixed
 530-column feature row: 252 power ratios, 252 correlation coefficients, the
@@ -37,6 +37,7 @@ __all__ = [
     "TARGET_COLUMN",
     "build_feature_row",
     "FeatureTable",
+    "read_numeric_csv",
     "read_records",
     "write_records",
     "ImputerSpec",
@@ -45,8 +46,6 @@ __all__ = [
     "ScalerSpec",
     "fit_scaler",
     "apply_scaler",
-    "invert_scaler",
-    "split",
     "prepare_dataset",
     "OnlineStore",
 ]
@@ -237,35 +236,58 @@ class FeatureTable:
 
     @classmethod
     def from_csv(cls, path) -> "FeatureTable":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        """Read a numeric table whose last column is the target ``D``.
+
+        The other header names become ``columns``; empty cells are masked.
+        """
+        header, data = read_numeric_csv(path)
+        if header[-1:] != [TARGET_COLUMN]:
+            raise IngestionError(
+                f"{path}: header mismatch: the last column must be the target "
+                f"{TARGET_COLUMN!r}, got {header[-1:]}"
+            )
+        targets = data[:, -1]
+        outside = ~((targets >= 0.0) & (targets <= 1.0))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise IngestionError(
+                f"{path}:{i + 2}: damage fraction must lie in [0, 1], got {targets[i]}"
+            )
+        rows = data[:, :-1]
+        return cls(rows, np.isnan(rows), targets, tuple(header[:-1]))
+
+
+def read_numeric_csv(path):
+    """Header and float matrix of a headered numeric CSV.
+
+    Empty cells become NaN (missing). Any other cell must be a finite
+    number: text such as ``abc``, ``inf`` or ``nan`` raises an
+    IngestionError naming its line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestionError(f"{path}: empty file")
+        rows, blanks = [], []
+        for lineno, cells in enumerate(reader, start=2):
+            if len(cells) != len(header):
+                raise IngestionError(f"{path}:{lineno}: expected {len(header)} cells")
             try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestionError(f"{path}: empty file") from None
-            expected = list(FEATURE_COLUMNS) + [TARGET_COLUMN]
-            if header != expected:
-                extra = sorted(set(header) - set(expected))
-                missing = sorted(set(expected) - set(header))
-                raise IngestionError(
-                    f"{path}: header mismatch (missing {missing[:5]}, unexpected {extra[:5]})"
-                )
-            rows, mask, targets = [], [], []
-            for lineno, cells in enumerate(reader, start=2):
-                if len(cells) != len(expected):
-                    raise IngestionError(f"{path}:{lineno}: expected {len(expected)} cells")
-                vals = [float(c) if c != "" else np.nan for c in cells[:-1]]
-                rows.append(vals)
-                mask.append([c == "" or v != v for c, v in zip(cells[:-1], vals)])
-                target = float(cells[-1])
-                if not (0.0 <= target <= 1.0):
-                    raise IngestionError(
-                        f"{path}:{lineno}: damage fraction must lie in [0, 1], got {target}"
-                    )
-                targets.append(target)
-        if not rows:
-            return cls(np.zeros((0, _N_FEATURES)), np.zeros((0, _N_FEATURES), bool), np.zeros(0))
-        return cls(np.array(rows), np.array(mask, dtype=bool), np.array(targets))
+                rows.append([float(c) if c != "" else np.nan for c in cells])
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{lineno}: {exc}") from None
+            blanks.append(cells.count(""))
+    data = np.array(rows, dtype=float) if rows else np.zeros((0, len(header)))
+    # checked on the parsed array, off the per-cell path: a NaN that is not
+    # an empty field came from text such as "nan"
+    non_finite = np.isinf(data).any(axis=1) | (np.isnan(data).sum(axis=1) != blanks)
+    if non_finite.any():
+        raise IngestionError(
+            f"{path}:{int(np.argmax(non_finite)) + 2}: non-finite number; "
+            "only empty fields mark missing cells"
+        )
+    return header, data
 
 
 def _record_from_json(obj: dict) -> MeasurementRecord:
@@ -393,53 +415,6 @@ def apply_scaler(spec: ScalerSpec, rows: np.ndarray) -> np.ndarray:
     return (x - spec.center) / spec.scale
 
 
-def invert_scaler(spec: ScalerSpec, rows: np.ndarray) -> np.ndarray:
-    """Undo apply_scaler on non-constant columns (constant ones stay centered)."""
-    x = np.asarray(rows, dtype=float)
-    return x * spec.scale + spec.center
-
-
-def split(table: FeatureTable, test_fraction: float, seed: int, stratify=None):
-    """Deterministic seeded shuffle split into (train, test) tables.
-
-    ``stratify`` may be an array of group labels (one per row); each group
-    then contributes its proportional share of test rows, allocated by
-    largest remainder so every group is within one row of its exact quota.
-    """
-    m = len(table)
-    if not (0.0 < test_fraction < 1.0):
-        raise InvalidInputError(f"test_fraction must lie in (0, 1), got {test_fraction!r}")
-    n_test = int(round(m * test_fraction))
-    if n_test < 1 or n_test >= m:
-        raise InvalidInputError(f"degenerate split: {m} rows at fraction {test_fraction}")
-
-    rng = np.random.default_rng(seed)
-    if stratify is None:
-        perm = rng.permutation(m)
-        test_idx = np.sort(perm[:n_test])
-    else:
-        groups = np.asarray(stratify)
-        if groups.shape != (m,):
-            raise InvalidInputError("stratify must provide one group label per row")
-        values = np.unique(groups)
-        quotas = {}
-        for g in values:
-            quotas[g] = (groups == g).sum() * test_fraction
-        base = {g: int(math.floor(q)) for g, q in quotas.items()}
-        leftover = n_test - sum(base.values())
-        by_remainder = sorted(values, key=lambda g: (-(quotas[g] - base[g]), str(g)))
-        for g in by_remainder[:leftover]:
-            base[g] += 1
-        chosen = []
-        for g in values:
-            members = np.flatnonzero(groups == g)
-            take = min(base[g], members.size)
-            chosen.append(rng.permutation(members)[:take])
-        test_idx = np.sort(np.concatenate(chosen))
-    train_idx = np.setdiff1d(np.arange(m), test_idx)
-    return table.subset(train_idx), table.subset(test_idx)
-
-
 def prepare_dataset(table: FeatureTable, scaler_kind: str = "minmax_pm1"):
     """Impute, scale and wrap a table for the predictor.
 
@@ -552,9 +527,8 @@ class OnlineStore:
         count = len(self._scaled)
         if count == 0:
             raise InvalidInputError("store is empty")
-        points = np.stack(self._scaled[:count])
-        targets = np.array(self._targets[:count]).reshape(-1, 1)
-        return Dataset(points, targets, "regression")
+        # Dataset copies the rows itself and marks the copy read-only
+        return Dataset(self._scaled[:count], self._targets[:count], "regression")
 
     def predict(self, features, params: MaxEntParams | None = None) -> Prediction:
         """Predict the target at a raw (unscaled) feature vector."""

@@ -183,6 +183,30 @@ class TestPredictCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("index,prediction")
 
+    def test_non_numeric_table_cell_exits_1_naming_the_line(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        _toy_table_csv(table)
+        lines = table.read_text().splitlines()
+        lines[3] = "abc," + lines[3].split(",", 1)[1]
+        table.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--table", str(table), "--queries", str(table),
+                     "--out", str(out)]) == 1
+        assert f"{table}:4:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_query_text_exits_1_naming_the_line(self, tmp_path, capsys, text):
+        # only empty fields are masked; non-finite text is an error, not a gap
+        table = tmp_path / "table.csv"
+        _toy_table_csv(table)
+        queries = tmp_path / "queries.csv"
+        queries.write_text(f"x1,x2\n0.1,0.2\n0.3,{text}\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--table", str(table), "--queries", str(queries),
+                     "--out", str(out)]) == 1
+        assert f"{queries}:3:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_schema_mismatch_reports_column_diff(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
         _toy_table_csv(table)
@@ -220,6 +244,32 @@ class TestAppendAndEval:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["prediction"]) == pytest.approx(float(full.targets[2]), abs=1e-12)
 
+    def test_append_without_records_writes_the_predict_output(self, tmp_path):
+        # one table path and one writer: with nothing appended, append
+        # serves its queries exactly as predict does
+        table = tmp_path / "table.csv"
+        _toy_table_csv(table, m=80)
+        queries = tmp_path / "queries.csv"
+        rng = np.random.default_rng(4)
+        with open(queries, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["x1", "x2"])
+            for row in rng.uniform(0, 1, size=(12, 2)):
+                writer.writerow([repr(float(row[0])), repr(float(row[1]))])
+            writer.writerow(["0.5", ""])
+        records = tmp_path / "none.jsonl"
+        records.write_text("")
+        fc = tmp_path / "failure.json"
+        fc.write_text(json.dumps(FAILURE_CYCLES))
+        predicted, appended = tmp_path / "predict.csv", tmp_path / "append.csv"
+        assert main(["predict", "--table", str(table), "--queries", str(queries),
+                     "--out", str(predicted)]) == 0
+        assert main(["append", "--table", str(table), "--records", str(records),
+                     "--failure-cycles", str(fc), "--queries", str(queries),
+                     "--predictions", str(appended)]) == 0
+        assert appended.read_bytes() == predicted.read_bytes()
+        assert len(appended.read_text().splitlines()) == 14
+
     def test_eval_perfect_predictions(self, tmp_path, capsys):
         preds = tmp_path / "p.csv"
         preds.write_text("prediction\n0.1\n0.5\n0.9\n")
@@ -250,6 +300,13 @@ class TestConfigFile:
                      "--out-dir", str(out2)]) == 0
         payload2 = json.loads((out2 / "toy_reg_metrics.json").read_text())
         assert payload2["maxent"]["seed"] == 3
+
+
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"train": 30,')
+        assert main(["--config", str(cfg), "toy-reg", "--out-dir", str(tmp_path / "x")]) == 2
+        assert "usage error:" in capsys.readouterr().err
 
 
 class TestQueryFileVariants:
@@ -283,6 +340,14 @@ class TestQueryFileVariants:
         assert main(["predict", "--table", str(table), "--queries", str(queries),
                      "--out", str(out_plain)]) == 0
         assert out_env.read_bytes() == out_plain.read_bytes()
+
+    def test_non_integer_parallelism_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MAXENT_PARALLEL", "abc")
+        table = tmp_path / "table.csv"
+        _toy_table_csv(table, m=20)
+        assert main(["predict", "--table", str(table), "--queries", str(table),
+                     "--out", str(tmp_path / "pred.csv")]) == 2
+        assert "usage error:" in capsys.readouterr().err
 
 
 class TestEvalOverPredictOutput:

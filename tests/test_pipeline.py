@@ -1,4 +1,4 @@
-"""Feature pipeline tests: record assembly, scaling, splitting, online store."""
+"""Feature pipeline tests: record assembly, table CSV, scaling, online store."""
 
 import numpy as np
 import pytest
@@ -18,10 +18,8 @@ from maxentnn.pipeline import (
     build_feature_row,
     fit_imputer,
     fit_scaler,
-    invert_scaler,
     prepare_dataset,
     read_records,
-    split,
     write_records,
 )
 
@@ -187,14 +185,6 @@ class TestScalers:
         assert spec.constant[0]
         np.testing.assert_array_equal(apply_scaler(spec, np.array([[3.0]])), [[0.0]])
 
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(8)
-        rows = rng.normal(size=(40, 7)) * 100.0
-        for kind in ("minmax_pm1", "standard"):
-            spec = fit_scaler(rows, kind)
-            back = invert_scaler(spec, apply_scaler(spec, rows))
-            np.testing.assert_allclose(back, rows, rtol=1e-12, atol=1e-9)
-
     def test_standard_statistics(self):
         rng = np.random.default_rng(9)
         rows = rng.normal(3.0, 2.0, size=(500, 3))
@@ -229,42 +219,6 @@ def random_table(m=100, width=6, seed=0, masked=False):
     targets = rng.uniform(0, 1, size=m)
     columns = tuple(f"f{i}" for i in range(width))
     return FeatureTable(rows, mask, targets, columns)
-
-
-class TestSplit:
-    def test_published_row_count_split(self):
-        table = random_table(m=1492)
-        train, test = split(table, 0.2, seed=0)
-        assert len(train) == 1194 and len(test) == 298
-
-    def test_deterministic(self):
-        table = random_table(m=50)
-        a1, b1 = split(table, 0.3, seed=11)
-        a2, b2 = split(table, 0.3, seed=11)
-        np.testing.assert_array_equal(a1.rows, a2.rows)
-        np.testing.assert_array_equal(b1.targets, b2.targets)
-
-    def test_stratified_within_one_row(self):
-        table = random_table(m=300)
-        groups = np.repeat([1, 2, 3], [150, 90, 60])
-        train, test = split(table, 0.2, seed=3, stratify=groups)
-        assert len(test) == 60
-        # recover test group membership through row identity
-        joined = {tuple(r) for r in test.rows}
-        counts = {g: 0 for g in (1, 2, 3)}
-        for row, g in zip(table.rows, groups):
-            if tuple(row) in joined:
-                counts[g] += 1
-        assert abs(counts[1] - 30) <= 1
-        assert abs(counts[2] - 18) <= 1
-        assert abs(counts[3] - 12) <= 1
-
-    def test_degenerate_fractions_rejected(self):
-        table = random_table(m=4)
-        with pytest.raises(InvalidInputError):
-            split(table, 0.0, seed=0)
-        with pytest.raises(InvalidInputError):
-            split(table, 0.05, seed=0)
 
 
 class TestPrepareDataset:
