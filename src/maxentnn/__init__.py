@@ -9,7 +9,6 @@ from .core import (
     PredictionFailure,
     WeightSolution,
     filter_convex,
-    interpolation_error,
     mean_entropy,
     optimize_bandwidth,
     predict_batch,

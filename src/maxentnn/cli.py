@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from .core import MaxEntParams, Prediction, predict_batch
-from .errors import LayupParseError, MaxentError, ParameterError
+from .errors import IngestionError, LayupParseError, MaxentError, ParameterError
 from .evaluation import ToySpec, metrics, run_toy_experiment
 from .laminate import (
     PlyProperties,
@@ -41,32 +42,21 @@ from .pipeline import (
 # imported for perfbench/tracing.py, which wraps them as attributes of this module
 from .pipeline import fit_imputer, fit_scaler  # noqa: F401
 
-_PARAM_FLAGS = (
-    ("threshold_filter", float),
-    ("threshold_entropy", float),
-    ("convergence_tolerance", float),
-    ("it_convergence", int),
-    ("local_min_tolerance", float),
-    ("it_local_min", int),
-    ("q1_initial_error", float),
-    ("q2_hfilter_increment", float),
-    ("sweep_points", int),
-    ("max_minconvex_rounds", int),
-)
-
-
 class _UsageError(Exception):
     pass
 
 
 def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     group = sp.add_argument_group("predictor parameters")
-    for name, typ in _PARAM_FLAGS:
-        group.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, default=None)
+    for f in dataclasses.fields(MaxEntParams):
+        # annotations are strings under postponed evaluation; the default's type is not
+        group.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                           type=type(f.default), default=None)
 
 
 def _params_from(args) -> MaxEntParams:
-    overrides = {n: getattr(args, n) for n, _ in _PARAM_FLAGS if getattr(args, n, None) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(MaxEntParams)
+                 if getattr(args, f.name, None) is not None}
     try:
         return MaxEntParams(**overrides)
     except ParameterError as exc:
@@ -152,9 +142,25 @@ def _cmd_clt(args) -> int:
 
 # ---------------------------------------------------------------- features
 
+def _read_failure_cycles(path: str) -> dict:
+    """Coupon id -> cycles at failure, from a JSON object of integers."""
+    with open(path) as fh:
+        try:
+            counts = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise IngestionError(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(counts, dict):
+        raise IngestionError(f"{path}: expected a JSON object of coupon id -> cycles at failure")
+    for coupon, cycles in counts.items():
+        if not isinstance(cycles, int) or isinstance(cycles, bool):
+            raise IngestionError(
+                f"{path}: cycles at failure of {coupon!r} must be an integer, got {cycles!r}"
+            )
+    return counts
+
+
 def _cmd_features(args) -> int:
-    with open(args.failure_cycles) as fh:
-        failure_cycles = {str(k): int(v) for k, v in json.load(fh).items()}
+    failure_cycles = _read_failure_cycles(args.failure_cycles)
     records, skipped = read_records(args.records, strict=not args.lenient)
     table = FeatureTable.from_records(records, failure_cycles=failure_cycles)
     table.to_csv(args.out)
@@ -225,11 +231,10 @@ def _cmd_predict(args) -> int:
 # ---------------------------------------------------------------- online
 
 def _cmd_append(args) -> int:
+    failure_cycles = _read_failure_cycles(args.failure_cycles)
     table = FeatureTable.from_csv(args.table)
     store = OnlineStore.from_table(table, params=_params_from(args),
                                    scaler_kind=_scaler_kind(args))
-    with open(args.failure_cycles) as fh:
-        failure_cycles = {str(k): int(v) for k, v in json.load(fh).items()}
     records, skipped = read_records(args.records, strict=not args.lenient)
     for record in records:
         store.append_record(record, failure_cycles=failure_cycles)

@@ -14,6 +14,7 @@ between queries and are picked up immediately.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,7 +40,6 @@ __all__ = [
     "mean_entropy",
     "optimize_bandwidth",
     "solve_weights",
-    "interpolation_error",
     "predict_regression",
     "predict_classification",
     "predict_point",
@@ -353,29 +353,6 @@ def optimize_bandwidth(
     return float(grid[best]), subset
 
 
-def interpolation_error(query, weights, subset_points) -> float:
-    """Relative reconstruction error ||X* - sum(u_i X_i)|| / ||X*||.
-
-    Falls back to the absolute error when the query is the zero vector,
-    where the relative form is undefined.
-    """
-    q = _as_point(query, name="query")
-    u = np.asarray(weights, dtype=float)
-    pts = np.asarray(subset_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    if u.ndim != 1 or u.size != pts.shape[0]:
-        raise InvalidInputError("weights must align with subset rows")
-    if np.any(u < 0):
-        raise InvalidInputError("weights must be nonnegative")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(pts))):
-        raise InvalidInputError("non-finite weights or points")
-    xhat = u @ pts
-    diff = float(np.linalg.norm(q - xhat))
-    qn = float(np.linalg.norm(q))
-    return diff / qn if qn > 0.0 else diff
-
-
 def _spectral_bound(kmat: np.ndarray, sweeps: int = 16) -> float:
     """Upper estimate of ||K||_2^2 by power iteration with a safety margin."""
     v = np.ones(kmat.shape[1]) / math.sqrt(kmat.shape[1])
@@ -660,7 +637,8 @@ def predict_batch(
     n = arr.shape[0]
     if n == 0:
         return []
-    workers = max(1, int(parallelism))
+    # more threads than cores only adds switching: the solver is CPU-bound
+    workers = max(1, min(int(parallelism), os.cpu_count() or 1))
     if workers == 1:
         return [run(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -436,15 +436,16 @@ def prepare_dataset(table: FeatureTable, scaler_kind: str = "minmax_pm1"):
 class OnlineStore:
     """Append-only feature store serving predictions without any retraining.
 
-    The imputer and scaler are frozen at construction; appended rows are
-    normalized with those frozen statistics, so predictions made before an
-    append are never changed by it. ``refit_count`` counts scaler refreshes
-    and stays 0 unless ``refresh_scaler_on_append`` is explicitly enabled
-    (which trades reproducibility for adaptivity).
+    The imputer and scaler are frozen at construction; appended rows and
+    queries are normalized with those frozen statistics, so predictions made
+    before an append are never changed by it.
 
     Concurrency: one writer may append while readers predict; a prediction
     snapshots the current row count once and never sees a half-written row.
     """
+
+    # nothing is ever refitted; kept for callers that report the refit count
+    refit_count = 0
 
     def __init__(
         self,
@@ -452,15 +453,11 @@ class OnlineStore:
         params: MaxEntParams | None = None,
         imputer: ImputerSpec | None = None,
         scaler: ScalerSpec | None = None,
-        refresh_scaler_on_append: bool = False,
     ):
         self.columns = tuple(columns)
         self.params = params or MaxEntParams()
         self.imputer = imputer
         self.scaler = scaler
-        self.refresh_scaler_on_append = refresh_scaler_on_append
-        self.refit_count = 0
-        self._raw: list[np.ndarray] = []
         self._scaled: list[np.ndarray] = []
         self._targets: list[float] = []
 
@@ -470,57 +467,44 @@ class OnlineStore:
         table: FeatureTable,
         params: MaxEntParams | None = None,
         scaler_kind: str | None = "minmax_pm1",
-        refresh_scaler_on_append: bool = False,
     ) -> "OnlineStore":
-        imputer = fit_imputer(table)
-        filled = apply_imputer(imputer, table.rows, table.mask)
-        scaler = fit_scaler(filled, scaler_kind) if scaler_kind else None
-        store = cls(table.columns, params, imputer, scaler, refresh_scaler_on_append)
-        for row, target in zip(filled, table.targets):
-            store._push(row, float(target))
+        dataset, imputer, scaler = prepare_dataset(table, scaler_kind)
+        store = cls(table.columns, params, imputer, scaler)
+        store._scaled = list(dataset.points)
+        store._targets = dataset.labels[:, 0].tolist()
         return store
 
     def __len__(self) -> int:
         return len(self._targets)
 
     def _normalize(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=float)
+        """Shape-check, impute and scale one raw row as the table was."""
+        # a copy: the store must not hold an array its caller may change
+        x = np.array(features, dtype=float)
         if x.shape != (len(self.columns),):
             raise IngestionError(f"expected {len(self.columns)} features, got shape {x.shape}")
-        missing = ~np.isfinite(x)
+        if np.isinf(x).any():
+            raise IngestionError("infinite feature value; only NaN marks a missing cell")
+        missing = np.isnan(x)
         if missing.any():
             if self.imputer is None:
                 raise IngestionError("row has missing cells and the store has no imputer")
-            x = np.where(missing, self.imputer.medians, x)
-        return x
-
-    def _push(self, raw_row: np.ndarray, target: float) -> int:
-        scaled = apply_scaler(self.scaler, raw_row) if self.scaler else raw_row
-        self._raw.append(raw_row)
-        self._targets.append(target)
-        # Appending the scaled row last keeps reader snapshots consistent:
-        # a snapshot sizes itself on the scaled list.
-        self._scaled.append(scaled)
-        return len(self._scaled) - 1
+            x = apply_imputer(self.imputer, x, missing)
+        return apply_scaler(self.scaler, x) if self.scaler else x
 
     def append_row(self, features, target: float) -> int:
         """Append one feature row; returns its row index."""
         row = self._normalize(features)
-        index = self._push(row, float(target))
-        if self.refresh_scaler_on_append and self.scaler is not None:
-            self._refresh_scaler()
-        return index
+        self._targets.append(float(target))
+        # Appending the row last keeps reader snapshots consistent:
+        # a snapshot sizes itself on the row list.
+        self._scaled.append(row)
+        return len(self._scaled) - 1
 
     def append_record(self, record: MeasurementRecord, layups=None, failure_cycles=None) -> int:
         features, mask, target = build_feature_row(record, layups, failure_cycles)
         features = np.where(mask, np.nan, features)
         return self.append_row(features, target)
-
-    def _refresh_scaler(self) -> None:
-        raw = np.stack(self._raw)
-        self.scaler = fit_scaler(raw, self.scaler.kind)
-        self._scaled = list(apply_scaler(self.scaler, raw))
-        self.refit_count += 1
 
     def snapshot(self) -> Dataset:
         """A consistent point-in-time Dataset of everything appended so far."""
@@ -530,8 +514,6 @@ class OnlineStore:
         # Dataset copies the rows itself and marks the copy read-only
         return Dataset(self._scaled[:count], self._targets[:count], "regression")
 
-    def predict(self, features, params: MaxEntParams | None = None) -> Prediction:
+    def predict(self, features) -> Prediction:
         """Predict the target at a raw (unscaled) feature vector."""
-        row = self._normalize(features)
-        query = apply_scaler(self.scaler, row) if self.scaler else row
-        return predict_point(self.snapshot(), query, params or self.params)
+        return predict_point(self.snapshot(), self._normalize(features), self.params)

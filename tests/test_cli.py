@@ -1,12 +1,14 @@
 """End-to-end CLI tests driving maxentnn.cli.main directly."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from maxentnn.cli import main
+from maxentnn.cli import _params_from, build_parser, main
+from maxentnn.core import MaxEntParams
 from maxentnn.laminate import T700_PLY, ply_stiffness_q12
 from maxentnn.pipeline import (
     ChannelMeasurement,
@@ -132,6 +134,35 @@ class TestFeaturesCommand:
         assert main(["features", str(records), "--failure-cycles", str(fc),
                      "--out", str(out)]) == 1
         assert ":3:" in capsys.readouterr().err
+
+
+class TestFailureCyclesFile:
+    @pytest.mark.parametrize("command", ["features", "append"])
+    @pytest.mark.parametrize("text", ['{"a": ', '["L1S11", 177309]', '{"L1S11": "x"}'],
+                             ids=["bad-json", "not-an-object", "non-integer-count"])
+    def test_malformed_file_exits_1_naming_it(self, tmp_path, capsys, command, text):
+        records, fc = _records_fixture(tmp_path, 1)
+        fc.write_text(text)
+        if command == "features":
+            argv = ["features", str(records), "--failure-cycles", str(fc),
+                    "--out", str(tmp_path / "out.csv")]
+        else:
+            table = tmp_path / "table.csv"
+            _toy_table_csv(table)
+            argv = ["append", "--table", str(table), "--records", str(records),
+                    "--failure-cycles", str(fc)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(fc) in err
+
+
+class TestParamFlags:
+    def test_every_field_default_as_its_flag_gives_the_defaults(self):
+        argv = ["toy-reg"]
+        for f in dataclasses.fields(MaxEntParams):
+            argv += [f"--{f.name.replace('_', '-')}", str(f.default)]
+        args = build_parser().parse_args(argv)
+        assert _params_from(args) == MaxEntParams()
 
 
 class TestPredictCommand:

@@ -1,6 +1,7 @@
 """Unit tests for the entropy-tuned neighbor predictor."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from maxentnn import (
     Prediction,
     PredictionFailure,
     filter_convex,
-    interpolation_error,
     mean_entropy,
     optimize_bandwidth,
     predict_batch,
@@ -212,21 +212,6 @@ class TestSolveWeights:
             solve_weights(np.zeros((0, 2)), [0.0, 0.0], np.array([]), MaxEntParams())
 
 
-class TestInterpolationError:
-    def test_exact_reconstruction(self):
-        assert interpolation_error([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]) == 0.0
-
-    def test_relative_error(self):
-        assert interpolation_error([1.0, 0.0], [1.0], [[0.9, 0.0]]) == pytest.approx(0.1)
-
-    def test_zero_query_uses_absolute_error(self):
-        assert interpolation_error([0.0, 0.0], [1.0], [[0.1, 0.0]]) == pytest.approx(0.1)
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(InvalidInputError):
-            interpolation_error([0.0], [-0.1], [[1.0]])
-
-
 class TestPredictRegression:
     def test_single_label(self):
         assert predict_regression([1.0], [0.7]) == pytest.approx(0.7)
@@ -340,6 +325,31 @@ class TestPredictBatch:
         for a, b in zip(seq, par):
             np.testing.assert_array_equal(a.value, b.value)
             assert a.diagnostics() == b.diagnostics()
+
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
+        import maxentnn.core
+
+        asked = []
+
+        class SequentialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(maxentnn.core, "ThreadPoolExecutor", SequentialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ds = Dataset([[0.0], [1.0]], [[0.0], [1.0]])
+        out = predict_batch(ds, [[0.2], [0.5], [0.8]], parallelism=10_000)
+        assert asked == [2]
+        assert len(out) == 3
 
     def test_per_query_failures_do_not_abort(self):
         ds = Dataset([[0.0], [1.0]], [[0.0], [1.0]])

@@ -257,21 +257,42 @@ class TestOnlineStore:
         np.testing.assert_array_equal(after.points[:10], before.points)
         np.testing.assert_array_equal(after.labels[:10], before.labels)
 
-    def test_scaler_refresh_is_opt_in_and_counted(self):
-        table = random_table(m=10, seed=3)
-        store = OnlineStore.from_table(table, refresh_scaler_on_append=True)
-        rng = np.random.default_rng(7)
-        store.append_row(rng.normal(size=6), target=0.5)
-        assert store.refit_count == 1
-
     def test_masked_cells_use_frozen_imputer(self):
         table = random_table(m=30, seed=4, masked=True)
         store = OnlineStore.from_table(table)
         row = np.full(6, np.nan)
         row[0] = 1.0
         idx = store.append_row(row, target=0.9)
-        raw = store._raw[idx]
-        np.testing.assert_array_equal(raw[1:], store.imputer.medians[1:])
+        stored = store.snapshot().points[idx]
+        np.testing.assert_array_equal(
+            stored[1:], apply_scaler(store.scaler, store.imputer.medians)[1:])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_append_rejects_infinite_cells(self, value):
+        table = random_table(m=30, seed=4, masked=True)
+        store = OnlineStore.from_table(table)
+        row = np.zeros(6)
+        row[2] = value
+        with pytest.raises(IngestionError, match="infinite"):
+            store.append_row(row, target=0.5)
+        assert len(store) == 30
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_predict_rejects_infinite_cells(self, value):
+        table = random_table(m=30, seed=4, masked=True)
+        store = OnlineStore.from_table(table)
+        query = np.zeros(6)
+        query[3] = value
+        with pytest.raises(IngestionError, match="infinite"):
+            store.predict(query)
+
+    def test_appended_row_is_not_the_callers_array(self):
+        table = random_table(m=10, seed=2)
+        store = OnlineStore.from_table(table, scaler_kind=None)
+        row = np.full(6, 0.25)
+        idx = store.append_row(row, target=0.5)
+        row[:] = 9.0
+        np.testing.assert_array_equal(store.snapshot().points[idx], np.full(6, 0.25))
 
     def test_cluster_appends_pull_prediction_to_cluster_target(self):
         # broad zero-labeled cloud, then a tight one-labeled cluster lands
