@@ -503,8 +503,11 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     total error stalled against the previous round (within
     ``local_min_tolerance``), the current weights are accepted as a local
     minimum; else the filter radius grows and the loop repeats, up to
-    ``max_minconvex_rounds`` rounds. A query exactly duplicating a training
-    point short-circuits to that point's label.
+    ``max_minconvex_rounds`` rounds. A round that reselects the last solved
+    neighborhood (same rows, same similarities) ends as a local minimum
+    without a second solve: the solve is deterministic, so it would return
+    the same weights and a zero change in total error. A query exactly
+    duplicating a training point short-circuits to that point's label.
     """
     if params is None:
         params = MaxEntParams()
@@ -513,11 +516,11 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     distances = np.linalg.norm(dataset.points - q, axis=1)
     # Exact coordinate matches win; rows whose squared distance underflowed
     # to zero are numerically indistinguishable from the query and count too.
-    duplicates = np.flatnonzero(np.all(dataset.points == q, axis=1))
-    if duplicates.size == 0:
-        duplicates = np.flatnonzero(distances == 0.0)
+    # An exact match has distance zero, so only those rows are compared.
+    duplicates = np.flatnonzero(distances == 0.0)
     if duplicates.size:
-        i = int(duplicates[0])
+        exact = duplicates[np.all(dataset.points[duplicates] == q, axis=1)]
+        i = int(exact[0] if exact.size else duplicates[0])
         if dataset.task == "regression":
             value = dataset.labels[i].copy()
         else:
@@ -543,6 +546,17 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
         except DegenerateNeighborhoodError:
             h_filter += increment
             continue
+        if (
+            last is not None
+            and np.array_equal(subset.indices, last[1].indices)
+            and np.array_equal(subset.rbf_values, last[1].rbf_values)
+        ):
+            # The solve is deterministic, so it would return the last round's
+            # weights bit for bit; that total equals error_old exactly, which
+            # is a stall.
+            last = (last[0], subset, h_star)
+            exit_reason = "local_minimum"
+            break
         solution = solve_weights(dataset.points[subset.indices], q, subset.rbf_values, params)
         last = (solution, subset, h_star)
         if solution.converged:

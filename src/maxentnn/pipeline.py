@@ -362,7 +362,11 @@ class ImputerSpec:
 def fit_imputer(table: FeatureTable) -> ImputerSpec:
     """Median of the unmasked cells per column; 0 for fully masked columns."""
     medians = np.zeros(table.rows.shape[1])
-    for j in range(table.rows.shape[1]):
+    masked = table.mask.any(axis=0)
+    full = np.flatnonzero(~masked)
+    if len(table):
+        medians[full] = np.median(table.rows[:, full], axis=0)
+    for j in np.flatnonzero(masked):
         live = table.rows[~table.mask[:, j], j]
         if live.size:
             medians[j] = float(np.median(live))

@@ -268,6 +268,65 @@ class TestPredictPoint:
         assert abs(float(pred.value[0]) - 0.5) < 0.01
         assert pred.exit_reason == "converged"
 
+    def test_exact_duplicate_wins_over_underflowed_distance(self):
+        # [1e-200] is at distance 0.0 after underflow but is not the query
+        ds = Dataset([[1e-200], [0.0]], [[5.0], [7.0]])
+        pred = predict_point(ds, [0.0])
+        assert pred.neighbor_indices.tolist() == [1]
+        np.testing.assert_array_equal(pred.value, [7.0])
+
+    def test_underflowed_distance_counts_as_duplicate(self):
+        ds = Dataset([[1.0], [1e-200]], [[5.0], [7.0]])
+        pred = predict_point(ds, [0.0])
+        assert pred.neighbor_indices.tolist() == [1]
+        assert pred.iterations == 0
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        import maxentnn.core
+
+        sizes = []
+        real = maxentnn.core.solve_weights
+
+        def counting(subset_points, *args, **kwargs):
+            sizes.append(len(subset_points))
+            return real(subset_points, *args, **kwargs)
+
+        monkeypatch.setattr(maxentnn.core, "solve_weights", counting)
+        return sizes
+
+    def test_repeated_neighborhood_is_not_solved_again(self, monkeypatch):
+        sizes = self._count_solves(monkeypatch)
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1, 1, (30, 2))
+        labels = rng.uniform(-1, 1, (30, 1))
+        ds = Dataset(pts, labels)
+        q = np.array([6.0, 6.0])
+        params = MaxEntParams()
+        pred = predict_point(ds, q, params)
+        assert sizes == [30]
+        assert pred.exit_reason == "local_minimum"
+        assert pred.rounds == 2
+        assert pred.iterations == params.it_local_min + 1
+
+        rows = pts[pred.neighbor_indices]
+        sims = np.exp(-np.sum((rows - q) ** 2, axis=1) / (pred.bandwidth * pred.bandwidth))
+        direct = solve_weights(rows, q, sims, params)
+        assert direct.iterations == pred.iterations
+        assert direct.residual_error == pred.residual_error
+        assert direct.weight_sum_gap == pred.weight_sum_gap
+        blend = direct.weights / direct.weights.sum()
+        np.testing.assert_array_equal(pred.neighbor_weights, blend)
+        np.testing.assert_array_equal(pred.value, blend @ labels[pred.neighbor_indices])
+
+    def test_growing_neighborhood_is_solved_every_round(self, monkeypatch):
+        sizes = self._count_solves(monkeypatch)
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.uniform(-1, 1, (30, 2)), rng.uniform(-1, 1, (30, 1)))
+        pred = predict_point(ds, [1.3, 0.2])
+        assert len(sizes) == pred.rounds == 2
+        assert sizes[0] < sizes[1] == pred.n_neighbors
+
     def test_dimension_mismatch(self):
         ds = Dataset([[0.0, 0.0]], [[0.0]])
         with pytest.raises(InvalidInputError):

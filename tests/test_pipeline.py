@@ -208,6 +208,27 @@ class TestImputer:
         assert filled[1, 1] == 6.0
         assert not np.isnan(filled).any()
 
+    @pytest.mark.parametrize("m", [0, 1, 6, 7])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_medians_match_per_column_reference(self, m, masked):
+        rng = np.random.default_rng(m)
+        rows = rng.normal(size=(m, 5))
+        mask = np.zeros((m, 5), dtype=bool)
+        if masked and m:
+            mask[rng.random((m, 5)) < 0.3] = True
+            mask[0, 1] = True  # odd and even live counts across columns
+            mask[:, 3] = True  # fully masked column
+        rows = np.where(mask, np.nan, rows)
+        table = FeatureTable(rows, mask, np.zeros(m), columns=tuple("abcde"))
+        reference = np.zeros(5)
+        for j in range(5):
+            live = rows[~mask[:, j], j]
+            if live.size:
+                reference[j] = float(np.median(live))
+        np.testing.assert_array_equal(fit_imputer(table).medians, reference)
+        if masked and m:
+            assert fit_imputer(table).medians[3] == 0.0
+
 
 def random_table(m=100, width=6, seed=0, masked=False):
     rng = np.random.default_rng(seed)
