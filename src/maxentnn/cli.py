@@ -30,17 +30,9 @@ from .laminate import (
     parse_layup,
     stiffness_feature_row,
 )
-from .pipeline import (
-    FeatureTable,
-    OnlineStore,
-    apply_imputer,
-    apply_scaler,
-    prepare_dataset,
-    read_numeric_csv,
-    read_records,
-)
-# imported for perfbench/tracing.py, which wraps them as attributes of this module
-from .pipeline import fit_imputer, fit_scaler  # noqa: F401
+from .pipeline import FeatureTable, OnlineStore, read_numeric_csv, read_records
+# not called here; imported for perfbench/tracing.py, which wraps them as attributes of this module
+from .pipeline import apply_imputer, apply_scaler, fit_imputer, fit_scaler  # noqa: F401
 
 class _UsageError(Exception):
     pass
@@ -189,14 +181,11 @@ def _load_queries(path: str, feature_columns):
                       + _column_diff(feature_columns, header))
 
 
-def _serve(dataset, imputer, scaler, queries, params, workers, path) -> int:
-    """Impute and scale ``queries`` as the dataset's rows were, predict them
-    and write the prediction CSV: one row per query, an error row for each
-    failed one. Returns the number of rows written."""
-    queries = apply_imputer(imputer, queries, np.isnan(queries))
-    if scaler is not None:
-        queries = apply_scaler(scaler, queries)
-    results = predict_batch(dataset, queries, params, workers)
+def _serve(store, queries, workers, path) -> int:
+    """Predict the raw ``queries`` from ``store`` and write the prediction
+    CSV: one row per query, an error row for each failed one. Returns the
+    number of rows written."""
+    results = predict_batch(store.snapshot(), store.normalize(queries), store.params, workers)
 
     fields = ["index", "prediction", "n_neighbors", "h_star", "exit_reason",
               "iterations", "residual_error", "weight_sum_gap", "rounds", "error"]
@@ -219,11 +208,11 @@ def _serve(dataset, imputer, scaler, queries, params, workers, path) -> int:
 
 
 def _cmd_predict(args) -> int:
-    table = FeatureTable.from_csv(args.table)
-    queries = _load_queries(args.queries, table.columns)
-    params = _params_from(args)
-    dataset, imputer, scaler = prepare_dataset(table, _scaler_kind(args))
-    n = _serve(dataset, imputer, scaler, queries, params, _parallelism(args), args.out)
+    # the raw table is not kept: the store holds the imputed, scaled rows
+    store = OnlineStore.from_table(FeatureTable.from_csv(args.table),
+                                   params=_params_from(args), scaler_kind=_scaler_kind(args))
+    queries = _load_queries(args.queries, store.columns)
+    n = _serve(store, queries, _parallelism(args), args.out)
     print(f"predict: wrote {n} row(s) to {args.out}")
     return 0
 
@@ -232,9 +221,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_append(args) -> int:
     failure_cycles = _read_failure_cycles(args.failure_cycles)
-    table = FeatureTable.from_csv(args.table)
-    store = OnlineStore.from_table(table, params=_params_from(args),
-                                   scaler_kind=_scaler_kind(args))
+    store = OnlineStore.from_table(FeatureTable.from_csv(args.table),
+                                   params=_params_from(args), scaler_kind=_scaler_kind(args))
     records, skipped = read_records(args.records, strict=not args.lenient)
     for record in records:
         store.append_record(record, failure_cycles=failure_cycles)
@@ -242,9 +230,8 @@ def _cmd_append(args) -> int:
           f"refits={store.refit_count}")
 
     if args.queries:
-        queries = _load_queries(args.queries, table.columns)
-        _serve(store.snapshot(), store.imputer, store.scaler, queries, store.params,
-               _parallelism(args), args.predictions)
+        queries = _load_queries(args.queries, store.columns)
+        _serve(store, queries, _parallelism(args), args.predictions)
         print(f"append: wrote predictions to {args.predictions}")
     return 0
 

@@ -538,9 +538,6 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     for _ in range(params.max_minconvex_rounds):
         rounds += 1
         prefilter = filter_convex(dataset, q, h_filter, params.threshold_filter)
-        if prefilter.size == 0:
-            h_filter += increment
-            continue
         try:
             h_star, subset = optimize_bandwidth(dataset, q, prefilter, params)
         except DegenerateNeighborhoodError:

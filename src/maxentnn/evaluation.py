@@ -26,6 +26,7 @@ from .core import (
     predict_batch,
 )
 from .errors import InvalidInputError, ParameterError
+from .pipeline import apply_scaler, fit_scaler
 
 __all__ = [
     "ToySpec",
@@ -374,11 +375,9 @@ def run_synthetic_benchmark(
     n_test = int(round(m * test_fraction))
     test_idx, train_idx = np.sort(perm[:n_test]), np.sort(perm[n_test:])
 
-    lo = x[train_idx].min(axis=0)
-    hi = x[train_idx].max(axis=0)
-    center, scale = 0.5 * (lo + hi), np.where(hi > lo, 0.5 * (hi - lo), 1.0)
-    x_train = (x[train_idx] - center) / scale
-    x_test = (x[test_idx] - center) / scale
+    scaler = fit_scaler(x[train_idx], "minmax_pm1")
+    x_train = apply_scaler(scaler, x[train_idx])
+    x_test = apply_scaler(scaler, x[test_idx])
     y_train, y_test = y[train_idx], y[test_idx]
 
     ds = Dataset(x_train, y_train.reshape(-1, 1), "regression")
@@ -387,9 +386,10 @@ def run_synthetic_benchmark(
     if failed:
         raise InvalidInputError(f"{len(failed)} benchmark queries failed: {failed[0].message}")
     preds = np.array([float(np.asarray(r.value).ravel()[0]) for r in results])
+    report = metrics(y_test, preds)
     out = {
-        "r2_maxent": metrics(y_test, preds).r2,
-        "mse_maxent": metrics(y_test, preds).mse,
+        "r2_maxent": report.r2,
+        "mse_maxent": report.mse,
         "r2_wknn": {},
         "n_train": int(train_idx.size),
         "n_test": int(test_idx.size),

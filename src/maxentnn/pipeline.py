@@ -220,10 +220,6 @@ class FeatureTable:
         targets = np.array([t[2] for t in triples])
         return cls(rows, mask, targets)
 
-    def subset(self, indices) -> "FeatureTable":
-        idx = np.asarray(indices, dtype=int)
-        return FeatureTable(self.rows[idx], self.mask[idx], self.targets[idx], self.columns)
-
     def to_csv(self, path) -> None:
         """Write the canonical header plus one row per record; masked cells are empty."""
         with open(path, "w", newline="") as fh:
@@ -440,9 +436,10 @@ def prepare_dataset(table: FeatureTable, scaler_kind: str = "minmax_pm1"):
 class OnlineStore:
     """Append-only feature store serving predictions without any retraining.
 
-    The imputer and scaler are frozen at construction; appended rows and
-    queries are normalized with those frozen statistics, so predictions made
-    before an append are never changed by it.
+    Built by ``from_table``, which fits the imputer and scaler on the table
+    and freezes them; appended rows and queries are normalized with those
+    frozen statistics, so predictions made before an append are never
+    changed by it.
 
     Concurrency: one writer may append while readers predict; a prediction
     snapshots the current row count once and never sees a half-written row.
@@ -451,19 +448,14 @@ class OnlineStore:
     # nothing is ever refitted; kept for callers that report the refit count
     refit_count = 0
 
-    def __init__(
-        self,
-        columns=FEATURE_COLUMNS,
-        params: MaxEntParams | None = None,
-        imputer: ImputerSpec | None = None,
-        scaler: ScalerSpec | None = None,
-    ):
+    def __init__(self, columns, params: MaxEntParams, imputer: ImputerSpec,
+                 scaler: ScalerSpec | None, dataset: Dataset):
         self.columns = tuple(columns)
-        self.params = params or MaxEntParams()
+        self.params = params
         self.imputer = imputer
         self.scaler = scaler
-        self._scaled: list[np.ndarray] = []
-        self._targets: list[float] = []
+        self._scaled: list[np.ndarray] = list(dataset.points)
+        self._targets: list[float] = dataset.labels[:, 0].tolist()
 
     @classmethod
     def from_table(
@@ -473,32 +465,30 @@ class OnlineStore:
         scaler_kind: str | None = "minmax_pm1",
     ) -> "OnlineStore":
         dataset, imputer, scaler = prepare_dataset(table, scaler_kind)
-        store = cls(table.columns, params, imputer, scaler)
-        store._scaled = list(dataset.points)
-        store._targets = dataset.labels[:, 0].tolist()
-        return store
+        return cls(table.columns, params or MaxEntParams(), imputer, scaler, dataset)
 
     def __len__(self) -> int:
         return len(self._targets)
 
-    def _normalize(self, features) -> np.ndarray:
-        """Shape-check, impute and scale one raw row as the table was."""
+    def normalize(self, features) -> np.ndarray:
+        """Impute and scale one raw row, or a ``(k, n)`` matrix of raw
+        queries, as the table's rows were."""
         # a copy: the store must not hold an array its caller may change
         x = np.array(features, dtype=float)
-        if x.shape != (len(self.columns),):
+        if x.ndim not in (1, 2) or x.shape[-1] != len(self.columns):
             raise IngestionError(f"expected {len(self.columns)} features, got shape {x.shape}")
         if np.isinf(x).any():
             raise IngestionError("infinite feature value; only NaN marks a missing cell")
         missing = np.isnan(x)
         if missing.any():
-            if self.imputer is None:
-                raise IngestionError("row has missing cells and the store has no imputer")
             x = apply_imputer(self.imputer, x, missing)
-        return apply_scaler(self.scaler, x) if self.scaler else x
+        return x if self.scaler is None else apply_scaler(self.scaler, x)
 
     def append_row(self, features, target: float) -> int:
         """Append one feature row; returns its row index."""
-        row = self._normalize(features)
+        row = self.normalize(features)
+        if row.ndim != 1:
+            raise IngestionError(f"expected one row of features, got shape {row.shape}")
         self._targets.append(float(target))
         # Appending the row last keeps reader snapshots consistent:
         # a snapshot sizes itself on the row list.
@@ -506,18 +496,17 @@ class OnlineStore:
         return len(self._scaled) - 1
 
     def append_record(self, record: MeasurementRecord, layups=None, failure_cycles=None) -> int:
-        features, mask, target = build_feature_row(record, layups, failure_cycles)
-        features = np.where(mask, np.nan, features)
+        # masked cells are already NaN: build_feature_row writes only unmasked ones
+        features, _, target = build_feature_row(record, layups, failure_cycles)
         return self.append_row(features, target)
 
     def snapshot(self) -> Dataset:
         """A consistent point-in-time Dataset of everything appended so far."""
         count = len(self._scaled)
-        if count == 0:
-            raise InvalidInputError("store is empty")
-        # Dataset copies the rows itself and marks the copy read-only
+        # from_table seeds at least one row; Dataset copies the rows itself
+        # and marks the copy read-only
         return Dataset(self._scaled[:count], self._targets[:count], "regression")
 
     def predict(self, features) -> Prediction:
         """Predict the target at a raw (unscaled) feature vector."""
-        return predict_point(self.snapshot(), self._normalize(features), self.params)
+        return predict_point(self.snapshot(), self.normalize(features), self.params)

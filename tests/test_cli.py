@@ -214,6 +214,20 @@ class TestPredictCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("index,prediction")
 
+    def test_empty_query_cell_is_filled_with_the_table_median(self, tmp_path):
+        table = tmp_path / "table.csv"
+        pts, _ = _toy_table_csv(table, m=60)
+        median = repr(float(np.median(pts[:, 1])))
+        outs = []
+        for name, x2 in (("blank", ""), ("median", median)):
+            queries = tmp_path / f"{name}.csv"
+            queries.write_text(f"x1,x2\n0.5,{x2}\n")
+            out = tmp_path / f"pred_{name}.csv"
+            assert main(["predict", "--table", str(table), "--queries", str(queries),
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_non_numeric_table_cell_exits_1_naming_the_line(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
         _toy_table_csv(table)
@@ -260,7 +274,7 @@ class TestAppendAndEval:
         # query the third row's features
         full = FeatureTable.from_csv(table_csv)
         seed_csv = tmp_path / "seed.csv"
-        full.subset([0, 1]).to_csv(seed_csv)
+        FeatureTable(full.rows[:2], full.mask[:2], full.targets[:2]).to_csv(seed_csv)
         third = tmp_path / "third.jsonl"
         lines = (tmp_path / "records.jsonl").read_text().splitlines()
         third.write_text(lines[2] + "\n")

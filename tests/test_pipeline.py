@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maxentnn import MaxEntParams, abd_matrices, standard_layups, stiffness_feature_row
+from maxentnn import abd_matrices, standard_layups, stiffness_feature_row
 from maxentnn.errors import IngestionError, InvalidInputError
 from maxentnn.pipeline import (
     ChannelMeasurement,
@@ -96,10 +96,12 @@ class TestBuildFeatureRow:
 
     def test_dead_channel_masked_not_fatal(self):
         dead = ChannelMeasurement(3, [1.0, 2.0, 1.0], [0.0, 0.0, 0.0])
-        record = MeasurementRecord("L1S11", 1, 0, Condition.BASELINE, channels=(dead,))
+        record = MeasurementRecord("L1S11", 1, 0, Condition.BASELINE, channels=(dead, _channel(5)))
         features, mask, _ = build_feature_row(record, failure_cycles=FAILURE_CYCLES)
         assert mask[2] and mask[N_CHANNELS + 2]
-        assert np.isnan(features[2])
+        assert not mask[4] and not mask[N_CHANNELS + 4]
+        # every masked cell is NaN and every other cell is set
+        assert np.array_equal(np.isnan(features), mask)
 
     def test_unknown_coupon_and_layup(self):
         record = baseline_record(coupon="NOPE")
@@ -338,17 +340,29 @@ class TestOnlineStore:
         assert all(abs(dr) < 1e-6 for dr in drops)
 
     def test_record_append(self):
-        table = FeatureTable(np.zeros((0, 530)), np.zeros((0, 530), bool), np.zeros(0))
-        store = OnlineStore(params=MaxEntParams())
         record = baseline_record(2)
         features, mask, target = build_feature_row(record, failure_cycles=FAILURE_CYCLES)
-        # records carry masked cells, so the store needs an imputer
-        med_table = FeatureTable(features.reshape(1, -1), mask.reshape(1, -1),
-                                 np.array([target]))
-        store.imputer = fit_imputer(med_table)
+        table = FeatureTable(features.reshape(1, -1), mask.reshape(1, -1), np.array([target]))
+        store = OnlineStore.from_table(table, scaler_kind=None)
         idx = store.append_record(record, failure_cycles=FAILURE_CYCLES)
-        assert idx == 0
-        assert len(store) == 1
+        assert idx == 1
+        assert len(store) == 2
+        np.testing.assert_array_equal(store.snapshot().points[1], store.snapshot().points[0])
+
+    def test_query_matrix_normalizes_as_its_rows(self):
+        table = random_table(m=30, seed=4, masked=True)
+        store = OnlineStore.from_table(table)
+        queries = np.random.default_rng(8).normal(size=(4, 6))
+        queries[1, 2] = queries[3, 0] = np.nan
+        np.testing.assert_array_equal(
+            store.normalize(queries), np.stack([store.normalize(q) for q in queries]))
+
+    def test_append_rejects_a_query_matrix(self):
+        table = random_table(m=10, seed=2)
+        store = OnlineStore.from_table(table)
+        with pytest.raises(IngestionError, match="one row"):
+            store.append_row(np.zeros((1, 6)), target=0.5)
+        assert len(store) == 10
 
 
 class TestScalerAbsorbsAffineTransforms:
