@@ -9,13 +9,11 @@ from .core import (
     PredictionFailure,
     WeightSolution,
     filter_convex,
-    mean_entropy,
     optimize_bandwidth,
     predict_batch,
     predict_classification,
     predict_point,
     predict_regression,
-    rbf_value,
     solve_weights,
 )
 from .errors import (
@@ -46,7 +44,6 @@ from .signals import (
     miner_damage_index,
     miner_damage_total,
     power_ratio,
-    signal_power,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

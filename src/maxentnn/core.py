@@ -35,9 +35,7 @@ __all__ = [
     "WeightSolution",
     "Prediction",
     "PredictionFailure",
-    "rbf_value",
     "filter_convex",
-    "mean_entropy",
     "optimize_bandwidth",
     "solve_weights",
     "predict_regression",
@@ -172,11 +170,14 @@ class Dataset:
 class ConvexSubset:
     """Rows retained by a similarity filter around one query.
 
-    ``indices`` are dataset row numbers (ascending), ``rbf_values`` the
-    Gaussian similarities that admitted them, ``bandwidth`` the radius used.
+    ``indices`` are dataset row numbers (ascending), ``sq_distances`` those
+    rows' squared distances to the query, ``rbf_values`` the Gaussian
+    similarities ``exp(-d^2 / h^2)`` that admitted them and ``bandwidth``
+    the radius ``h`` used.
     """
 
     indices: np.ndarray
+    sq_distances: np.ndarray
     rbf_values: np.ndarray
     bandwidth: float
 
@@ -247,39 +248,13 @@ class PredictionFailure:
     message: str
 
 
-def rbf_value(query, point, h: float) -> float:
-    """Gaussian similarity exp(-||point - query||^2 / h^2), in (0, 1]."""
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise ParameterError(f"bandwidth must be strictly positive and finite, got {h!r}")
-    q = _as_point(query, name="query")
-    p = _as_point(point, name="point")
-    if p.size != q.size:
-        raise InvalidInputError(f"dimension mismatch: point has {p.size}, query has {q.size}")
-    d2 = float(np.sum((p - q) ** 2))
-    hsq = h * h
-    if hsq == 0.0:
-        # h underflowed: the h -> 0 limit keeps only exact coincidences
-        return 1.0 if d2 == 0.0 else 0.0
-    # the ratio may overflow to inf for a subnormal hsq; exp maps that to 0
-    return float(np.exp(-(d2 / hsq)))
-
-
-def _similarities(points: np.ndarray, query: np.ndarray, h: float) -> np.ndarray:
-    d2 = np.sum((points - query) ** 2, axis=1)
-    hsq = h * h
-    if hsq == 0.0:
-        # h underflowed: the h -> 0 limit keeps only exact coincidences
-        return (d2 == 0.0).astype(float)
-    # a subnormal hsq can overflow the ratio to inf; exp maps that to the
-    # correct limit 0
-    with np.errstate(over="ignore"):
-        return np.exp(-d2 / hsq)
-
-
-def filter_convex(dataset: Dataset, query, h: float, threshold: float) -> ConvexSubset:
+def filter_convex(sq_distances, h: float, threshold: float) -> ConvexSubset:
     """Keep exactly the rows whose similarity to the query exceeds ``threshold``.
 
-    The comparison is strict, so a row at distance d survives iff
+    ``sq_distances`` holds every candidate row's squared distance to the
+    query, one entry per dataset row, so the returned ``indices`` are
+    positions in it. A row's similarity is ``exp(-d^2 / h^2)``; the
+    comparison is strict, so a row at distance d survives iff
     d < h * sqrt(-ln threshold). An empty result is a legal outcome; the
     caller decides whether to enlarge ``h``.
     """
@@ -287,48 +262,44 @@ def filter_convex(dataset: Dataset, query, h: float, threshold: float) -> Convex
         raise ParameterError(f"bandwidth must be strictly positive and finite, got {h!r}")
     if not (0.0 < threshold < 1.0):
         raise ParameterError(f"threshold must lie in (0, 1), got {threshold!r}")
-    q = _as_point(query, dataset.n_features)
-    vals = _similarities(dataset.points, q, h)
+    d2 = np.asarray(sq_distances, dtype=float)
+    if d2.ndim != 1:
+        raise InvalidInputError(f"sq_distances must be a 1-D array, got shape {d2.shape}")
+    # a NaN would fail the similarity test below and vanish silently
+    if not np.all(np.isfinite(d2) & (d2 >= 0.0)):
+        raise InvalidInputError("sq_distances must be finite and nonnegative")
+    hsq = h * h
+    if hsq == 0.0:
+        # h underflowed: the h -> 0 limit keeps only exact coincidences
+        vals = (d2 == 0.0).astype(float)
+    else:
+        # a subnormal hsq can overflow the ratio to inf; exp maps that to the
+        # correct limit 0
+        with np.errstate(over="ignore"):
+            vals = np.exp(-d2 / hsq)
     keep = vals > threshold
-    return ConvexSubset(np.flatnonzero(keep), vals[keep], float(h))
+    return ConvexSubset(np.flatnonzero(keep), d2[keep], vals[keep], float(h))
 
 
-def mean_entropy(subset: ConvexSubset) -> float:
-    """Mean Gibbs entropy -mean(p * ln p) of the subset's similarities."""
-    p = np.asarray(subset.rbf_values, dtype=float)
-    if p.size == 0:
-        raise DegenerateNeighborhoodError("cannot take the mean entropy of an empty subset")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
-        raise InvalidInputError("similarities must lie in (0, 1]")
-    return float(np.mean(-p * np.log(p)))
-
-
-def optimize_bandwidth(
-    dataset: Dataset,
-    query,
-    prefilter: ConvexSubset,
-    params: MaxEntParams,
-) -> tuple[float, ConvexSubset]:
+def optimize_bandwidth(prefilter: ConvexSubset, params: MaxEntParams) -> ConvexSubset:
     """Sweep candidate bandwidths and keep the mean-entropy maximizer.
 
     Candidates are ``params.sweep_points`` values spaced logarithmically
-    between 0.25x the smallest nonzero query distance and 4x the largest
-    query distance within ``prefilter``. Each candidate re-filters the
-    prefiltered rows against ``params.threshold_entropy``; empty candidates
-    are skipped. Returns the winning bandwidth and the subset re-filtered
-    at it.
+    between 0.25x the smallest nonzero distance and 4x the largest distance
+    in ``prefilter.sq_distances``. Each candidate re-filters the prefiltered
+    rows against ``params.threshold_entropy`` and scores the mean Gibbs
+    entropy ``-mean(p ln p)`` of the admitted similarities; empty candidates
+    are skipped. Returns the prefilter re-filtered at the winning bandwidth,
+    which is its ``bandwidth``.
     """
     if prefilter.size == 0:
         raise DegenerateNeighborhoodError("prefilter is empty; enlarge the filter radius")
-    q = _as_point(query, dataset.n_features)
-    pts = dataset.points[prefilter.indices]
-    d2 = np.sum((pts - q) ** 2, axis=1)
+    d2 = prefilter.sq_distances
 
     d2max = float(d2.max())
     if d2max == 0.0:
         # Every member coincides with the query; any radius keeps them all.
-        ones = np.ones_like(d2)
-        return 1.0, ConvexSubset(prefilter.indices.copy(), ones, 1.0)
+        return ConvexSubset(prefilter.indices.copy(), d2.copy(), np.ones_like(d2), 1.0)
     d2min = float(d2[d2 > 0].min())
 
     grid = np.geomspace(0.25 * math.sqrt(d2min), 4.0 * math.sqrt(d2max), params.sweep_points)
@@ -349,8 +320,7 @@ def optimize_bandwidth(
     if counts[best] == 0:
         raise DegenerateNeighborhoodError("every candidate bandwidth filtered out all neighbors")
     keep = admitted[best]
-    subset = ConvexSubset(prefilter.indices[keep], p[best][keep], float(grid[best]))
-    return float(grid[best]), subset
+    return ConvexSubset(prefilter.indices[keep], d2[keep], p[best][keep], float(grid[best]))
 
 
 def _spectral_bound(kmat: np.ndarray, sweeps: int = 16) -> float:
@@ -487,15 +457,19 @@ def predict_classification(subset_labels, distances=None) -> int:
     return int(tied.min())
 
 
-def _initial_filter_radius(distances: np.ndarray) -> float:
+def _initial_filter_radius(sq_distances: np.ndarray) -> float:
     """Distance to the ceil(sqrt(m))-th nearest neighbor (at least the 1st)."""
-    m = distances.size
+    m = sq_distances.size
     kth = min(m, max(1, math.ceil(math.sqrt(m))))
-    return float(np.partition(distances, kth - 1)[kth - 1])
+    return math.sqrt(float(np.partition(sq_distances, kth - 1)[kth - 1]))
 
 
 def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -> Prediction:
     """Predict the label of one query point.
+
+    The query's squared distance to every row is computed once; the duplicate
+    check, the initial filter radius, every round's prefilter and bandwidth
+    sweep and the classification tie-break all read that one array.
 
     Outer loop: prefilter the dataset at the current filter radius, pick the
     entropy-optimal bandwidth, seed the weights with the similarities and run
@@ -513,11 +487,11 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
         params = MaxEntParams()
     q = _as_point(query, dataset.n_features)
 
-    distances = np.linalg.norm(dataset.points - q, axis=1)
+    d2 = np.sum((dataset.points - q) ** 2, axis=1)
     # Exact coordinate matches win; rows whose squared distance underflowed
     # to zero are numerically indistinguishable from the query and count too.
     # An exact match has distance zero, so only those rows are compared.
-    duplicates = np.flatnonzero(distances == 0.0)
+    duplicates = np.flatnonzero(d2 == 0.0)
     if duplicates.size:
         exact = duplicates[np.all(dataset.points[duplicates] == q, axis=1)]
         i = int(exact[0] if exact.size else duplicates[0])
@@ -528,18 +502,18 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
         return Prediction(value, "converged", 0.0, 1, 0, 0.0, 0.0, 0,
                           np.array([i]), np.array([1.0]))
 
-    h_filter = _initial_filter_radius(distances)
+    h_filter = _initial_filter_radius(d2)
     increment = params.q2_hfilter_increment * h_filter
     error_old = params.q1_initial_error
-    last: tuple[WeightSolution, ConvexSubset, float] | None = None
+    last: tuple[WeightSolution, ConvexSubset] | None = None
     exit_reason = "round_cap"
     rounds = 0
 
     for _ in range(params.max_minconvex_rounds):
         rounds += 1
-        prefilter = filter_convex(dataset, q, h_filter, params.threshold_filter)
+        prefilter = filter_convex(d2, h_filter, params.threshold_filter)
         try:
-            h_star, subset = optimize_bandwidth(dataset, q, prefilter, params)
+            subset = optimize_bandwidth(prefilter, params)
         except DegenerateNeighborhoodError:
             h_filter += increment
             continue
@@ -551,11 +525,11 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
             # The solve is deterministic, so it would return the last round's
             # weights bit for bit; that total equals error_old exactly, which
             # is a stall.
-            last = (last[0], subset, h_star)
+            last = (last[0], subset)
             exit_reason = "local_minimum"
             break
         solution = solve_weights(dataset.points[subset.indices], q, subset.rbf_values, params)
-        last = (solution, subset, h_star)
+        last = (solution, subset)
         if solution.converged:
             exit_reason = "converged"
             break
@@ -570,7 +544,7 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
         raise DegenerateNeighborhoodError(
             f"no admissible neighborhood after {rounds} filter expansions"
         )
-    solution, subset, h_star = last
+    solution, subset = last
 
     if dataset.task == "regression":
         total_weight = float(solution.weights.sum())
@@ -584,13 +558,13 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
         value = predict_regression(blend, dataset.labels[subset.indices])
         applied = blend
     else:
-        value = predict_classification(dataset.labels[subset.indices], distances[subset.indices])
+        value = predict_classification(dataset.labels[subset.indices], np.sqrt(subset.sq_distances))
         applied = subset.rbf_values
 
     return Prediction(
         value,
         exit_reason,
-        h_star,
+        subset.bandwidth,
         subset.size,
         solution.iterations,
         solution.residual_error,

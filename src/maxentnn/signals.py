@@ -13,7 +13,6 @@ import numpy as np
 from .errors import DegenerateBaselineError, InvalidInputError
 
 __all__ = [
-    "signal_power",
     "power_ratio",
     "correlation_coefficient",
     "miner_damage_index",
@@ -30,18 +29,18 @@ def _as_signal(samples, name: str) -> np.ndarray:
     return x
 
 
-def signal_power(samples) -> float:
-    """Mean squared amplitude of a discrete non-periodic signal."""
-    x = _as_signal(samples, "signal")
-    return float(np.mean(x * x))
-
-
 def power_ratio(signal, baseline) -> float:
-    """Signal power divided by baseline power."""
-    p_base = signal_power(_as_signal(baseline, "baseline"))
+    """Signal power divided by baseline power.
+
+    A signal's power is its mean squared amplitude. The baseline is checked,
+    and a zero baseline power rejected, before the signal is checked.
+    """
+    y = _as_signal(baseline, "baseline")
+    p_base = float(np.mean(y * y))
     if p_base == 0.0:
         raise DegenerateBaselineError("baseline power is zero")
-    return signal_power(signal) / p_base
+    x = _as_signal(signal, "signal")
+    return float(np.mean(x * x)) / p_base
 
 
 def correlation_coefficient(signal, baseline) -> float:

@@ -121,8 +121,8 @@ class TestBandwidthAnalytic:
             d = float(rng.uniform(0.05, 2.0))
             pts = (d * direction).reshape(1, n)
             ds = Dataset(pts, [[1.0]])
-            prefilter = filter_convex(ds, np.zeros(n), 2.0 * d, params.threshold_filter)
-            h_star, _ = optimize_bandwidth(ds, np.zeros(n), prefilter, params)
+            prefilter = filter_convex(np.sum(ds.points ** 2, axis=1), 2.0 * d, params.threshold_filter)
+            h_star = optimize_bandwidth(prefilter, params).bandwidth
             true_d = float(np.linalg.norm(pts[0]))
             assert abs(math.log(h_star / true_d)) <= one_step + 1e-9
         _passed("single-neighbor bandwidth = distance (100 cases within one grid step)")

@@ -17,64 +17,75 @@ from maxentnn import (
     Prediction,
     PredictionFailure,
     filter_convex,
-    mean_entropy,
     optimize_bandwidth,
     predict_batch,
     predict_classification,
     predict_point,
     predict_regression,
-    rbf_value,
     solve_weights,
 )
 
 E_INV = math.exp(-1.0)
 
 
+def _sq_distances(points, query) -> np.ndarray:
+    return np.sum((np.asarray(points, dtype=float) - np.asarray(query, dtype=float)) ** 2, axis=1)
+
+
+def _similarities(sq_distances, h: float) -> np.ndarray:
+    # a threshold below every similarity here keeps all rows in input order
+    return filter_convex(sq_distances, h, threshold=1e-300).rbf_values
+
+
 class TestRbfValue:
+    """The Gaussian similarities ``filter_convex`` reports as ``rbf_values``."""
+
     def test_zero_distance_is_one(self):
-        assert rbf_value([1.0, 2.0], [1.0, 2.0], h=0.3) == 1.0
+        assert _similarities(_sq_distances([[1.0, 2.0]], [1.0, 2.0]), h=0.3)[0] == 1.0
 
     def test_distance_equal_to_bandwidth(self):
-        assert rbf_value([0.0], [2.0], h=2.0) == pytest.approx(E_INV, rel=1e-12)
+        sims = _similarities(_sq_distances([[2.0]], [0.0]), h=2.0)
+        assert sims[0] == pytest.approx(E_INV, rel=1e-12)
 
     def test_known_point(self):
         # distance 0.5 at h = 0.5 forces the exponent to -1
-        assert rbf_value([0.0, 0.0], [0.3, 0.4], h=0.5) == pytest.approx(E_INV, rel=1e-12)
+        sims = _similarities(_sq_distances([[0.3, 0.4]], [0.0, 0.0]), h=0.5)
+        assert sims[0] == pytest.approx(E_INV, rel=1e-12)
 
     def test_bad_bandwidth(self):
         with pytest.raises(ParameterError):
-            rbf_value([0.0], [1.0], h=0.0)
+            filter_convex(np.array([1.0]), h=0.0, threshold=0.5)
         with pytest.raises(ParameterError):
-            rbf_value([0.0], [1.0], h=-1.0)
+            filter_convex(np.array([1.0]), h=-1.0, threshold=0.5)
 
     def test_nonfinite_input(self):
+        # the query is checked once, before its distances are taken
+        ds = Dataset([[1.0], [2.0]], [[0.0], [1.0]])
         with pytest.raises(InvalidInputError):
-            rbf_value([np.nan], [1.0], h=1.0)
+            predict_point(ds, [np.nan])
         with pytest.raises(InvalidInputError):
-            rbf_value([0.0, 0.0], [1.0], h=1.0)
+            predict_point(ds, [0.0, 0.0])
 
 
 class TestFilterConvex:
     def test_tiny_threshold_keeps_everything(self):
         rng = np.random.default_rng(0)
         pts = rng.random((20, 2))
-        ds = Dataset(pts, np.zeros((20, 1)))
-        subset = filter_convex(ds, [0.5, 0.5], h=1.0, threshold=1e-12)
+        subset = filter_convex(_sq_distances(pts, [0.5, 0.5]), h=1.0, threshold=1e-12)
         assert subset.size == 20
 
     def test_threshold_cut(self):
         # e^(-9) is below 0.01, e^(-4) is above it
-        ds = Dataset([[3.0], [2.0]], [[0.0], [0.0]])
-        subset = filter_convex(ds, [0.0], h=1.0, threshold=0.01)
+        subset = filter_convex(np.array([9.0, 4.0]), h=1.0, threshold=0.01)
         assert list(subset.indices) == [1]
+        assert list(subset.sq_distances) == [4.0]
 
     def test_matches_exhaustive_reevaluation(self):
         rng = np.random.default_rng(42)
         pts = rng.uniform(-1, 1, size=(20, 3))
-        ds = Dataset(pts, np.zeros((20, 1)))
         query = rng.uniform(-1, 1, size=3)
         h, threshold = 0.8, 0.05
-        subset = filter_convex(ds, query, h, threshold)
+        subset = filter_convex(_sq_distances(pts, query), h, threshold)
         expected = [
             i for i in range(20)
             if math.exp(-np.sum((pts[i] - query) ** 2) / h**2) > threshold
@@ -82,33 +93,67 @@ class TestFilterConvex:
         assert list(subset.indices) == expected
         for idx, val in zip(subset.indices, subset.rbf_values):
             assert val > threshold
-            assert val == pytest.approx(rbf_value(query, pts[idx], h), rel=1e-12)
+            direct = math.exp(-np.sum((pts[idx] - query) ** 2) / h**2)
+            assert val == pytest.approx(direct, rel=1e-12)
 
     def test_threshold_validation(self):
-        ds = Dataset([[0.0]], [[0.0]])
         with pytest.raises(ParameterError):
-            filter_convex(ds, [0.0], h=1.0, threshold=1.0)
+            filter_convex(np.array([0.0]), h=1.0, threshold=1.0)
         with pytest.raises(ParameterError):
-            filter_convex(ds, [0.0], h=0.0, threshold=0.5)
+            filter_convex(np.array([0.0]), h=0.0, threshold=0.5)
+
+    def test_rejects_malformed_sq_distances(self):
+        for bad in (np.ones((2, 2)), np.array([0.5, np.nan]), np.array([0.5, np.inf]),
+                    np.array([0.5, -1e-300])):
+            with pytest.raises(InvalidInputError):
+                filter_convex(bad, h=1.0, threshold=0.01)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 129, 530])
+    def test_member_distances_equal_a_recomputation_on_the_members(self, width):
+        # predict_point takes every row's squared distance once and hands the
+        # members' entries on; they must be the bits a per-subset recomputation
+        # gives, across NumPy's pairwise-summation block sizes
+        rng = np.random.default_rng(width)
+        points = rng.uniform(-1, 1, size=(300, width))
+        query = rng.uniform(-1, 1, size=width)
+        d2 = np.sum((points - query) ** 2, axis=1)
+        # admits the rows closer than the median distance
+        subset = filter_convex(d2, h=math.sqrt(np.median(d2) / math.log(2.0)), threshold=0.5)
+        assert 0 < subset.size < 300
+        recomputed = np.sum((points[subset.indices] - query) ** 2, axis=1)
+        assert np.all(subset.sq_distances == recomputed)
 
 
 class TestMeanEntropy:
+    """The sweep's score, the mean Gibbs entropy -mean(p ln p) of the admitted
+    similarities, seen through the bandwidth it selects."""
+
     def test_certain_member_contributes_nothing(self):
-        subset = ConvexSubset(np.array([0]), np.array([1.0]), 1.0)
-        assert mean_entropy(subset) == 0.0
+        # a coincident member has p = 1 at every bandwidth, so -p ln p = 0:
+        # adding it leaves the grid and the winner unchanged
+        params = MaxEntParams()
+        alone = optimize_bandwidth(filter_convex(np.array([0.49]), 2.0, 0.01), params)
+        with_certain = optimize_bandwidth(filter_convex(np.array([0.0, 0.49]), 2.0, 0.01), params)
+        assert with_certain.bandwidth == alone.bandwidth
+        assert list(with_certain.indices) == [0, 1]
 
     def test_maximum_at_one_over_e(self):
-        subset = ConvexSubset(np.array([0]), np.array([E_INV]), 1.0)
-        assert mean_entropy(subset) == pytest.approx(E_INV, rel=1e-12)
+        # -p ln p peaks at p = 1/e: a lone member's winning similarity sits
+        # within one grid step of it
+        params = MaxEntParams()
+        d = 0.37
+        subset = optimize_bandwidth(filter_convex(np.array([d * d]), 2.0 * d, 0.01), params)
+        h_error = abs(math.log(-math.log(subset.rbf_values[0]))) / 2.0
+        assert h_error <= _one_grid_step(params, d, d) + 1e-12
 
-    def test_two_half_members(self):
-        subset = ConvexSubset(np.array([0, 1]), np.array([0.5, 0.5]), 1.0)
-        assert mean_entropy(subset) == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
-
-    def test_empty_subset_raises(self):
-        subset = ConvexSubset(np.array([], dtype=int), np.array([]), 1.0)
-        with pytest.raises(DegenerateNeighborhoodError):
-            mean_entropy(subset)
+    def test_score_is_the_mean_over_admitted_members(self):
+        # members at distances 1 and 5: a sum of entropies would grow the
+        # bandwidth to admit the far member (about h = 4.6); the mean halves
+        # that score, so the winner stays at the near member's distance
+        params = MaxEntParams()
+        subset = optimize_bandwidth(filter_convex(np.array([1.0, 25.0]), 10.0, 1e-300), params)
+        assert list(subset.indices) == [0]
+        assert abs(math.log(subset.bandwidth)) <= _one_grid_step(params, 1.0, 5.0) + 1e-12
 
 
 def _one_grid_step(params: MaxEntParams, d_min: float, d_max: float) -> float:
@@ -121,51 +166,57 @@ class TestOptimizeBandwidth:
     def test_single_neighbor_optimum_is_distance(self):
         params = MaxEntParams()
         d = 0.37
-        ds = Dataset([[d, 0.0]], [[1.0]])
-        prefilter = filter_convex(ds, [0.0, 0.0], h=2.0 * d, threshold=0.01)
-        h_star, subset = optimize_bandwidth(ds, [0.0, 0.0], prefilter, params)
+        prefilter = filter_convex(_sq_distances([[d, 0.0]], [0.0, 0.0]), h=2.0 * d, threshold=0.01)
+        subset = optimize_bandwidth(prefilter, params)
         assert subset.size == 1
-        assert abs(math.log(h_star / d)) <= _one_grid_step(params, d, d) + 1e-12
+        assert abs(math.log(subset.bandwidth / d)) <= _one_grid_step(params, d, d) + 1e-12
 
     def test_two_equidistant_neighbors(self):
         params = MaxEntParams()
         d = 0.8
-        ds = Dataset([[d, 0.0], [-d, 0.0]], [[0.0], [0.0]])
-        prefilter = filter_convex(ds, [0.0, 0.0], h=2.0 * d, threshold=0.01)
-        h_star, subset = optimize_bandwidth(ds, [0.0, 0.0], prefilter, params)
+        d2 = _sq_distances([[d, 0.0], [-d, 0.0]], [0.0, 0.0])
+        prefilter = filter_convex(d2, h=2.0 * d, threshold=0.01)
+        subset = optimize_bandwidth(prefilter, params)
         assert subset.size == 2
-        assert abs(math.log(h_star / d)) <= _one_grid_step(params, d, d) + 1e-12
+        assert abs(math.log(subset.bandwidth / d)) <= _one_grid_step(params, d, d) + 1e-12
 
     def test_matches_finer_grid_search(self):
         params = MaxEntParams()
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1, 1, size=(50, 2))
-        ds = Dataset(pts, np.zeros((50, 1)))
         query = np.array([0.1, -0.2])
-        prefilter = filter_convex(ds, query, h=1.0, threshold=params.threshold_filter)
-        h_star, _ = optimize_bandwidth(ds, query, prefilter, params)
+        prefilter = filter_convex(_sq_distances(pts, query), h=1.0, threshold=params.threshold_filter)
+        h_star = optimize_bandwidth(prefilter, params).bandwidth
 
         # brute-force oracle: same bracket, 10x finer, entropy recomputed
-        # from scratch through the public single-candidate path
+        # from scratch as -mean(p ln p) over the admitted similarities
         d = np.linalg.norm(pts[prefilter.indices] - query, axis=1)
         lo, hi = 0.25 * d[d > 0].min(), 4.0 * d.max()
         best_h, best_entropy = None, -np.inf
-        member_ds = Dataset(pts[prefilter.indices], np.zeros((prefilter.size, 1)))
         for h in np.geomspace(lo, hi, params.sweep_points * 10):
-            cand = filter_convex(member_ds, query, h, params.threshold_entropy)
-            if cand.size == 0:
+            p = np.exp(-(d / h) ** 2)
+            p = p[p > params.threshold_entropy]
+            if p.size == 0:
                 continue
-            e = mean_entropy(cand)
+            e = np.mean(-p * np.log(p))
             if e > best_entropy:
                 best_h, best_entropy = h, e
         step = _one_grid_step(params, d[d > 0].min(), d.max())
         assert abs(math.log(h_star / best_h)) <= step + 1e-12
 
     def test_empty_prefilter_raises(self):
-        ds = Dataset([[1.0]], [[0.0]])
-        empty = ConvexSubset(np.array([], dtype=int), np.array([]), 1.0)
+        empty = ConvexSubset(np.array([], dtype=int), np.array([]), np.array([]), 1.0)
         with pytest.raises(DegenerateNeighborhoodError):
-            optimize_bandwidth(ds, [0.0], empty, MaxEntParams())
+            optimize_bandwidth(empty, MaxEntParams())
+
+    def test_returns_the_prefilter_members_refiltered(self):
+        rng = np.random.default_rng(8)
+        d2 = rng.uniform(0.0, 2.0, size=40)
+        prefilter = filter_convex(d2, h=1.5, threshold=0.01)
+        subset = optimize_bandwidth(prefilter, MaxEntParams())
+        refiltered = filter_convex(d2, subset.bandwidth, MaxEntParams().threshold_entropy)
+        np.testing.assert_array_equal(subset.indices, refiltered.indices)
+        np.testing.assert_array_equal(subset.sq_distances, d2[subset.indices])
 
 
 class TestSolveWeights:

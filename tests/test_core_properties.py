@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from maxentnn import (
     Dataset,
     MaxEntParams,
+    filter_convex,
     predict_point,
-    rbf_value,
     solve_weights,
 )
 
@@ -57,6 +57,11 @@ def scattered_problem(draw, task="regression", max_dim=3, max_points=24):
     return Dataset(pts, labels, task=task), query
 
 
+def _similarities(sq_distances, h):
+    # a threshold below every similarity drawn here keeps all rows in order
+    return filter_convex(sq_distances, h, threshold=1e-300).rbf_values
+
+
 class TestRbfMonotonicity:
     @given(
         d1=st.floats(0.01, 3.0),
@@ -65,7 +70,8 @@ class TestRbfMonotonicity:
     )
     def test_decreases_with_distance(self, d1, factor, h):
         d2 = d1 * factor
-        assert rbf_value([0.0], [d1], h) > rbf_value([0.0], [d2], h)
+        near, far = _similarities([d1**2, d2**2], h)
+        assert near > far
 
     @given(
         d=st.floats(0.05, 3.0),
@@ -73,7 +79,7 @@ class TestRbfMonotonicity:
         factor=st.floats(1.01, 4.0),
     )
     def test_increases_with_bandwidth(self, d, h1, factor):
-        assert rbf_value([0.0], [d], h1 * factor) > rbf_value([0.0], [d], h1)
+        assert _similarities([d**2], h1 * factor)[0] > _similarities([d**2], h1)[0]
 
 
 class TestPredictionInvariants:
@@ -212,7 +218,7 @@ class TestBandwidthAnalyticOptimum:
         seed=st.integers(0, 2**31),
     )
     def test_single_neighbor_returns_distance(self, d, n, seed):
-        from maxentnn import filter_convex, optimize_bandwidth
+        from maxentnn import optimize_bandwidth
 
         rng = np.random.default_rng(seed)
         direction = rng.normal(size=n)
@@ -220,8 +226,9 @@ class TestBandwidthAnalyticOptimum:
         pts = (d * direction).reshape(1, n)
         ds = Dataset(pts, [[0.0]])
         params = MaxEntParams()
-        prefilter = filter_convex(ds, np.zeros(n), h=2.0 * d, threshold=params.threshold_filter)
-        h_star, _ = optimize_bandwidth(ds, np.zeros(n), prefilter, params)
+        sq_distances = np.sum(ds.points ** 2, axis=1)
+        prefilter = filter_convex(sq_distances, h=2.0 * d, threshold=params.threshold_filter)
+        h_star = optimize_bandwidth(prefilter, params).bandwidth
         one_step = math.log(16.0) / (params.sweep_points - 1)
         observed = abs(math.log(h_star / np.linalg.norm(pts[0])))
         assert observed <= one_step + 1e-9

@@ -12,8 +12,12 @@ from maxentnn import (
     miner_damage_index,
     miner_damage_total,
     power_ratio,
-    signal_power,
 )
+
+
+def signal_power(samples) -> float:
+    # a unit-power baseline makes the ratio the signal's own power
+    return power_ratio(samples, [1.0])
 
 
 class TestSignalPower:
@@ -63,6 +67,12 @@ class TestPowerRatio:
     def test_dead_baseline(self):
         with pytest.raises(DegenerateBaselineError):
             power_ratio([1.0, 2.0], [0.0, 0.0])
+
+    def test_baseline_is_checked_before_the_signal(self):
+        with pytest.raises(DegenerateBaselineError):
+            power_ratio([], np.zeros(3))
+        with pytest.raises(InvalidInputError, match="baseline"):
+            power_ratio([np.nan], [])
 
 
 class TestCorrelationCoefficient:
