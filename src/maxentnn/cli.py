@@ -224,8 +224,11 @@ def _cmd_append(args) -> int:
     store = OnlineStore.from_table(FeatureTable.from_csv(args.table),
                                    params=_params_from(args), scaler_kind=_scaler_kind(args))
     records, skipped = read_records(args.records, strict=not args.lenient)
-    for record in records:
-        store.append_record(record, failure_cycles=failure_cycles)
+    if records:
+        # one append for the whole file: each append copies the table.
+        # Masked cells are already NaN: build_feature_row writes only unmasked ones
+        appended = FeatureTable.from_records(records, failure_cycles=failure_cycles)
+        store.append_rows(appended.rows, appended.targets)
     print(f"appended={len(records)} skipped={skipped} rows={len(store)} "
           f"refits={store.refit_count}")
 

@@ -46,7 +46,6 @@ __all__ = [
     "ScalerSpec",
     "fit_scaler",
     "apply_scaler",
-    "prepare_dataset",
     "OnlineStore",
 ]
 
@@ -67,7 +66,7 @@ _CONDITION_NAMES = {c.name.lower(): c for c in Condition}
 
 @dataclass(frozen=True)
 class ChannelMeasurement:
-    """One sensing path at one excitation frequency: signal plus baseline."""
+    """One sensing path at one excitation frequency: signal plus an equally long baseline."""
 
     channel_id: int
     signal: np.ndarray
@@ -84,6 +83,11 @@ class ChannelMeasurement:
                 raise IngestionError(f"channel {self.channel_id}: {name} has non-finite samples")
             x.setflags(write=False)
             object.__setattr__(self, name, x)
+        if self.signal.size != self.baseline.size:
+            raise IngestionError(
+                f"channel {self.channel_id}: signal has {self.signal.size} samples "
+                f"but baseline has {self.baseline.size}"
+            )
         object.__setattr__(self, "channel_id", int(self.channel_id))
 
 
@@ -155,13 +159,13 @@ def build_feature_row(record, layups=None, failure_cycles=None):
         try:
             features[col] = power_ratio(ch.signal, ch.baseline)
             mask[col] = False
-        except (DegenerateBaselineError, InvalidInputError):
+        except DegenerateBaselineError:
             pass
         col = N_CHANNELS + ch.channel_id - 1
         try:
             features[col] = correlation_coefficient(ch.signal, ch.baseline)
             mask[col] = False
-        except (DegenerateBaselineError, InvalidInputError):
+        except DegenerateBaselineError:
             pass
 
     base = 2 * N_CHANNELS
@@ -415,24 +419,6 @@ def apply_scaler(spec: ScalerSpec, rows: np.ndarray) -> np.ndarray:
     return (x - spec.center) / spec.scale
 
 
-def prepare_dataset(table: FeatureTable, scaler_kind: str = "minmax_pm1"):
-    """Impute, scale and wrap a table for the predictor.
-
-    Returns (dataset, imputer, scaler). Pass ``scaler_kind=None`` to skip
-    scaling (the rows must then already be normalized).
-    """
-    imputer = fit_imputer(table)
-    filled = apply_imputer(imputer, table.rows, table.mask)
-    if scaler_kind is None:
-        scaler = None
-        points = filled
-    else:
-        scaler = fit_scaler(filled, scaler_kind)
-        points = apply_scaler(scaler, filled)
-    dataset = Dataset(points, table.targets.reshape(-1, 1), "regression")
-    return dataset, imputer, scaler
-
-
 class OnlineStore:
     """Append-only feature store serving predictions without any retraining.
 
@@ -441,8 +427,12 @@ class OnlineStore:
     frozen statistics, so predictions made before an append are never
     changed by it.
 
-    Concurrency: one writer may append while readers predict; a prediction
-    snapshots the current row count once and never sees a half-written row.
+    The store's state is one immutable ``Dataset``. ``snapshot()`` returns
+    it as is, and an append builds the next ``Dataset`` with the new rows
+    and swaps it in. One writer may append while readers predict: a
+    reader keeps whatever ``Dataset`` it read, which no append changes.
+    Each append copies the whole table, so a batch of rows goes in with
+    one ``append_rows`` rather than row by row.
     """
 
     # nothing is ever refitted; kept for callers that report the refit count
@@ -454,8 +444,7 @@ class OnlineStore:
         self.params = params
         self.imputer = imputer
         self.scaler = scaler
-        self._scaled: list[np.ndarray] = list(dataset.points)
-        self._targets: list[float] = dataset.labels[:, 0].tolist()
+        self._dataset = dataset
 
     @classmethod
     def from_table(
@@ -464,17 +453,28 @@ class OnlineStore:
         params: MaxEntParams | None = None,
         scaler_kind: str | None = "minmax_pm1",
     ) -> "OnlineStore":
-        dataset, imputer, scaler = prepare_dataset(table, scaler_kind)
-        return cls(table.columns, params or MaxEntParams(), imputer, scaler, dataset)
+        """Impute, scale and wrap a table for the predictor.
+
+        Pass ``scaler_kind=None`` to skip scaling (the rows must then
+        already be normalized).
+        """
+        imputer = fit_imputer(table)
+        points = apply_imputer(imputer, table.rows, table.mask)
+        scaler = None
+        if scaler_kind is not None:
+            scaler = fit_scaler(points, scaler_kind)
+            points = apply_scaler(scaler, points)
+        return cls(table.columns, params or MaxEntParams(), imputer, scaler,
+                   Dataset(points, table.targets, "regression"))
 
     def __len__(self) -> int:
-        return len(self._targets)
+        return self._dataset.n_points
 
     def normalize(self, features) -> np.ndarray:
         """Impute and scale one raw row, or a ``(k, n)`` matrix of raw
         queries, as the table's rows were."""
-        # a copy: the store must not hold an array its caller may change
-        x = np.array(features, dtype=float)
+        # no copy: no caller keeps the result; an append stacks it into a new table
+        x = np.asarray(features, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != len(self.columns):
             raise IngestionError(f"expected {len(self.columns)} features, got shape {x.shape}")
         if np.isinf(x).any():
@@ -484,28 +484,24 @@ class OnlineStore:
             x = apply_imputer(self.imputer, x, missing)
         return x if self.scaler is None else apply_scaler(self.scaler, x)
 
+    def append_rows(self, rows, targets) -> int:
+        """Append a ``(k, n)`` matrix of raw feature rows and their ``k``
+        targets with one copy of the table; returns the first new row's index."""
+        ds = self._dataset
+        # the normalized rows are dropped once stacked, before Dataset copies the stack
+        self._dataset = Dataset(np.vstack([ds.points, self.normalize(rows)]),
+                                np.append(ds.labels, targets), "regression")
+        return ds.n_points
+
     def append_row(self, features, target: float) -> int:
         """Append one feature row; returns its row index."""
-        row = self.normalize(features)
-        if row.ndim != 1:
-            raise IngestionError(f"expected one row of features, got shape {row.shape}")
-        self._targets.append(float(target))
-        # Appending the row last keeps reader snapshots consistent:
-        # a snapshot sizes itself on the row list.
-        self._scaled.append(row)
-        return len(self._scaled) - 1
-
-    def append_record(self, record: MeasurementRecord, layups=None, failure_cycles=None) -> int:
-        # masked cells are already NaN: build_feature_row writes only unmasked ones
-        features, _, target = build_feature_row(record, layups, failure_cycles)
-        return self.append_row(features, target)
+        if np.ndim(features) != 1:
+            raise IngestionError(f"expected one row of features, got shape {np.shape(features)}")
+        return self.append_rows(features, [target])
 
     def snapshot(self) -> Dataset:
-        """A consistent point-in-time Dataset of everything appended so far."""
-        count = len(self._scaled)
-        # from_table seeds at least one row; Dataset copies the rows itself
-        # and marks the copy read-only
-        return Dataset(self._scaled[:count], self._targets[:count], "regression")
+        """The store's current immutable Dataset; an append replaces it."""
+        return self._dataset
 
     def predict(self, features) -> Prediction:
         """Predict the target at a raw (unscaled) feature vector."""

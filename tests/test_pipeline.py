@@ -18,7 +18,6 @@ from maxentnn.pipeline import (
     build_feature_row,
     fit_imputer,
     fit_scaler,
-    prepare_dataset,
     read_records,
     write_records,
 )
@@ -103,6 +102,10 @@ class TestBuildFeatureRow:
         # every masked cell is NaN and every other cell is set
         assert np.array_equal(np.isnan(features), mask)
 
+    def test_signal_and_baseline_lengths_must_match(self):
+        with pytest.raises(IngestionError, match="channel 7"):
+            ChannelMeasurement(7, np.ones(10), np.ones(12))
+
     def test_unknown_coupon_and_layup(self):
         record = baseline_record(coupon="NOPE")
         with pytest.raises(IngestionError):
@@ -154,6 +157,26 @@ class TestRecordIO:
             fh.write('{"coupon": "L1S11"}\n')
         with pytest.raises(IngestionError, match=":1:"):
             read_records(path, strict=True)
+
+    @staticmethod
+    def _write_mismatched_channel(path):
+        write_records(path, [baseline_record(2)])
+        with open(path, "a") as fh:
+            fh.write('{"coupon": "L1S11", "layup": 1, "cycles": 0, "condition": "baseline", '
+                     '"channels": [{"id": 4, "signal": [1.0, 2.0], '
+                     '"baseline": [1.0, 2.0, 3.0]}]}\n')
+
+    def test_strict_rejects_mismatched_channel_lengths(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        self._write_mismatched_channel(path)
+        with pytest.raises(IngestionError, match=r":2: channel 4"):
+            read_records(path, strict=True)
+
+    def test_lenient_skips_mismatched_channel_lengths(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        self._write_mismatched_channel(path)
+        loaded, skipped = read_records(path, strict=False)
+        assert len(loaded) == 1 and skipped == 1
 
 
 class TestFeatureTableCsv:
@@ -247,7 +270,8 @@ def random_table(m=100, width=6, seed=0, masked=False):
 class TestPrepareDataset:
     def test_scaled_range(self):
         table = random_table(m=60, masked=True)
-        ds, imputer, scaler = prepare_dataset(table, "minmax_pm1")
+        store = OnlineStore.from_table(table, scaler_kind="minmax_pm1")
+        ds, imputer, scaler = store.snapshot(), store.imputer, store.scaler
         assert ds.n_points == 60
         assert ds.points.min() >= -1.0 - 1e-12
         assert ds.points.max() <= 1.0 + 1e-12
@@ -256,6 +280,40 @@ class TestPrepareDataset:
 
 
 class TestOnlineStore:
+    def test_snapshot_is_the_same_dataset_between_appends(self):
+        store = OnlineStore.from_table(random_table(m=10, seed=2))
+        assert store.snapshot() is store.snapshot()
+        store.append_row(np.zeros(6), target=0.5)
+        assert store.snapshot() is store.snapshot()
+
+    def test_append_leaves_an_earlier_snapshot_unchanged(self):
+        store = OnlineStore.from_table(random_table(m=10, seed=2))
+        before = store.snapshot()
+        points, labels = before.points.copy(), before.labels.copy()
+        store.append_row(np.ones(6), target=0.5)
+        assert before.n_points == 10
+        np.testing.assert_array_equal(before.points, points)
+        np.testing.assert_array_equal(before.labels, labels)
+        after = store.snapshot()
+        assert after.n_points == 11
+        assert after.labels[10, 0] == 0.5
+
+    def test_append_rejects_a_non_finite_target_and_keeps_serving(self):
+        store = OnlineStore.from_table(random_table(m=10, seed=2))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            store.append_row(np.zeros(6), target=np.nan)
+        assert len(store) == 10
+        store.predict(np.zeros(6))
+
+    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
+    def test_from_table_points_are_the_imputed_scaled_rows(self, kind):
+        table = random_table(m=40, seed=9, masked=True)
+        filled = apply_imputer(fit_imputer(table), table.rows, table.mask)
+        expected = filled if kind is None else apply_scaler(fit_scaler(filled, kind), filled)
+        store = OnlineStore.from_table(table, scaler_kind=kind)
+        np.testing.assert_array_equal(store.snapshot().points, expected)
+        np.testing.assert_array_equal(store.snapshot().labels[:, 0], table.targets)
+
     def test_append_then_predict_returns_own_target(self):
         table = random_table(m=80, seed=1)
         store = OnlineStore.from_table(table)
@@ -344,7 +402,8 @@ class TestOnlineStore:
         features, mask, target = build_feature_row(record, failure_cycles=FAILURE_CYCLES)
         table = FeatureTable(features.reshape(1, -1), mask.reshape(1, -1), np.array([target]))
         store = OnlineStore.from_table(table, scaler_kind=None)
-        idx = store.append_record(record, failure_cycles=FAILURE_CYCLES)
+        appended = FeatureTable.from_records([record], failure_cycles=FAILURE_CYCLES)
+        idx = store.append_rows(appended.rows, appended.targets)
         assert idx == 1
         assert len(store) == 2
         np.testing.assert_array_equal(store.snapshot().points[1], store.snapshot().points[0])
@@ -356,6 +415,19 @@ class TestOnlineStore:
         queries[1, 2] = queries[3, 0] = np.nan
         np.testing.assert_array_equal(
             store.normalize(queries), np.stack([store.normalize(q) for q in queries]))
+
+    def test_append_rows_matches_row_by_row_appends(self):
+        table = random_table(m=30, seed=4, masked=True)
+        rows = np.random.default_rng(9).normal(size=(5, 6))
+        rows[1, 2] = rows[4, 0] = np.nan
+        targets = np.linspace(0.1, 0.9, 5)
+        one_by_one = OnlineStore.from_table(table)
+        for row, target in zip(rows, targets):
+            one_by_one.append_row(row, target)
+        batched = OnlineStore.from_table(table)
+        assert batched.append_rows(rows, targets) == 30
+        np.testing.assert_array_equal(batched.snapshot().points, one_by_one.snapshot().points)
+        np.testing.assert_array_equal(batched.snapshot().labels, one_by_one.snapshot().labels)
 
     def test_append_rejects_a_query_matrix(self):
         table = random_table(m=10, seed=2)
@@ -381,13 +453,12 @@ class TestScalerAbsorbsAffineTransforms:
         warped = FeatureTable(rows * gains + offsets, mask, targets, cols)
         queries = rng.normal(size=(10, 5))
 
-        ds_plain, _, sc_plain = prepare_dataset(plain, "minmax_pm1")
-        ds_warped, _, sc_warped = prepare_dataset(warped, "minmax_pm1")
-        from maxentnn import predict_point
+        store_plain = OnlineStore.from_table(plain, scaler_kind="minmax_pm1")
+        store_warped = OnlineStore.from_table(warped, scaler_kind="minmax_pm1")
 
         for q in queries:
-            a = predict_point(ds_plain, apply_scaler(sc_plain, q.reshape(1, -1))[0])
-            b = predict_point(ds_warped, apply_scaler(sc_warped, (q * gains + offsets).reshape(1, -1))[0])
+            a = store_plain.predict(q)
+            b = store_warped.predict(q * gains + offsets)
             np.testing.assert_allclose(a.value, b.value, rtol=1e-9, atol=1e-12)
 
 
