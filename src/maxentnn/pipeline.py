@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -19,11 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, MaxEntParams, Prediction, predict_point
-from .errors import (
-    DegenerateBaselineError,
-    IngestionError,
-    InvalidInputError,
-)
+from .errors import IngestionError, InvalidInputError
 from .laminate import STIFFNESS_COLUMNS, abd_matrices, standard_layups, stiffness_feature_row
 from .signals import correlation_coefficient, miner_damage_index, power_ratio
 
@@ -136,6 +133,17 @@ TABLE_COLUMNS = FEATURE_COLUMNS + (TARGET_COLUMN,)
 _N_FEATURES = len(FEATURE_COLUMNS)  # 530
 
 
+_STANDARD_LAYUPS = standard_layups()
+
+
+@functools.lru_cache(maxsize=16)
+def _stiffness_row(layup) -> np.ndarray:
+    """The 18 stiffness terms of a layup, computed once and kept read-only."""
+    row = stiffness_feature_row(abd_matrices(layup))
+    row.setflags(write=False)
+    return row
+
+
 def build_feature_row(record, layups=None, failure_cycles=None):
     """Turn one record into (features, mask, target).
 
@@ -145,7 +153,7 @@ def build_feature_row(record, layups=None, failure_cycles=None):
     channels, dead baselines) and the damage-fraction target.
     """
     if layups is None:
-        layups = standard_layups()
+        layups = _STANDARD_LAYUPS
     if failure_cycles is None or record.coupon_id not in failure_cycles:
         raise IngestionError(f"unknown coupon {record.coupon_id!r}: no failure cycle count")
     if record.layup_id not in layups:
@@ -154,22 +162,21 @@ def build_feature_row(record, layups=None, failure_cycles=None):
     features = np.full(_N_FEATURES, np.nan)
     mask = np.ones(_N_FEATURES, dtype=bool)
 
+    # one stacked call per sample count: a record's channels normally share one
+    groups = {}
     for ch in record.channels:
-        col = ch.channel_id - 1
-        try:
-            features[col] = power_ratio(ch.signal, ch.baseline)
-            mask[col] = False
-        except DegenerateBaselineError:
-            pass
-        col = N_CHANNELS + ch.channel_id - 1
-        try:
-            features[col] = correlation_coefficient(ch.signal, ch.baseline)
-            mask[col] = False
-        except DegenerateBaselineError:
-            pass
+        groups.setdefault(ch.signal.size, []).append(ch)
+    for channels in groups.values():
+        cols = np.array([ch.channel_id - 1 for ch in channels])
+        signals = np.stack([ch.signal for ch in channels])
+        baselines = np.stack([ch.baseline for ch in channels])
+        features[cols] = power_ratio(signals, baselines)
+        features[N_CHANNELS + cols] = correlation_coefficient(signals, baselines)
+    # absent channels and dead baselines are NaN
+    mask[: 2 * N_CHANNELS] = np.isnan(features[: 2 * N_CHANNELS])
 
     base = 2 * N_CHANNELS
-    features[base : base + 18] = stiffness_feature_row(abd_matrices(layups[record.layup_id]))
+    features[base : base + 18] = _stiffness_row(layups[record.layup_id])
     mask[base : base + 18] = False
 
     base += 18

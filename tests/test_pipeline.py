@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from maxentnn import abd_matrices, standard_layups, stiffness_feature_row
-from maxentnn.errors import IngestionError, InvalidInputError
+from maxentnn import (
+    abd_matrices,
+    correlation_coefficient,
+    power_ratio,
+    standard_layups,
+    stiffness_feature_row,
+)
+from maxentnn.errors import DegenerateBaselineError, IngestionError, InvalidInputError
 from maxentnn.pipeline import (
     ChannelMeasurement,
     Condition,
@@ -101,6 +107,34 @@ class TestBuildFeatureRow:
         assert not mask[4] and not mask[N_CHANNELS + 4]
         # every masked cell is NaN and every other cell is set
         assert np.array_equal(np.isnan(features), mask)
+
+    def test_awkward_record_matches_per_channel_reference_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        live16, live40 = rng.normal(size=16), rng.normal(size=40)
+        channels = (
+            _channel(200, signal=rng.normal(size=40), baseline=live40),   # second length
+            ChannelMeasurement(9, rng.normal(size=16), np.zeros(16)),      # dead baseline
+            ChannelMeasurement(4, np.full(16, 0.75), live16),              # constant signal
+            ChannelMeasurement(150, np.zeros(40), live40),                 # all-zero signal
+            _channel(2, signal=0.5 * live16 + rng.normal(size=16), baseline=live16),
+            _channel(31),
+        )
+        record = MeasurementRecord("L1S11", 1, 5000, Condition.CLAMPED, channels=channels)
+        features, mask, _ = build_feature_row(record, failure_cycles=FAILURE_CYCLES)
+
+        expected = np.full(2 * N_CHANNELS, np.nan)
+        for ch in channels:
+            for offset, fn in ((0, power_ratio), (N_CHANNELS, correlation_coefficient)):
+                try:
+                    expected[offset + ch.channel_id - 1] = fn(ch.signal, ch.baseline)
+                except DegenerateBaselineError:
+                    pass
+        head = slice(0, 2 * N_CHANNELS)
+        assert np.array_equal(features[head], expected, equal_nan=True)
+        assert np.array_equal(mask[head], np.isnan(expected))
+        assert mask[8] and mask[N_CHANNELS + 8]
+        assert not mask[3] and mask[N_CHANNELS + 3]
+        assert features[149] == 0.0 and not mask[149] and mask[N_CHANNELS + 149]
 
     def test_signal_and_baseline_lengths_must_match(self):
         with pytest.raises(IngestionError, match="channel 7"):

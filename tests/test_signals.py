@@ -109,6 +109,76 @@ class TestCorrelationCoefficient:
         assert correlation_coefficient(a * x + c, y) == pytest.approx(r, abs=1e-10)
 
 
+# both sides of NumPy's pairwise-summation block of 128 elements
+STACK_LENGTHS = (2, 3, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1023, 1025)
+
+
+def _row_by_row(fn, signals, baselines):
+    return np.array([fn(s, b) for s, b in zip(signals, baselines)])
+
+
+class TestStackedInputs:
+    @pytest.mark.parametrize("n", STACK_LENGTHS)
+    def test_stack_equals_one_dimensional_calls_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        signals = rng.normal(1.5, 2.0, size=(5, n))
+        baselines = rng.normal(-0.5, 1.0, size=(5, n))
+        for fn in (power_ratio, correlation_coefficient):
+            expected = _row_by_row(fn, signals, baselines)
+            assert np.array_equal(fn(signals, baselines), expected)
+
+    @pytest.mark.parametrize("n", STACK_LENGTHS)
+    def test_memory_layout_does_not_change_the_bits(self, n):
+        rng = np.random.default_rng(1000 + n)
+        signals = rng.normal(size=(6, n))
+        baselines = rng.normal(size=(6, n))
+        wide_s, wide_b = np.repeat(signals, 2, axis=1), np.repeat(baselines, 2, axis=1)
+        layouts = [
+            (np.asfortranarray(signals), np.asfortranarray(baselines)),
+            (wide_s[:, ::2], wide_b[:, ::2]),
+        ]
+        for fn in (power_ratio, correlation_coefficient):
+            expected = _row_by_row(fn, signals, baselines)
+            for s, b in layouts:
+                assert np.array_equal(fn(s, b), expected)
+
+    def test_stack_of_many_blocks_equals_one_dimensional_calls_bit_for_bit(self):
+        # 300 rows of 256 samples span several blocks of the reduction
+        rng = np.random.default_rng(300)
+        signals = rng.normal(size=(3, 100, 256))
+        baselines = rng.normal(size=(3, 100, 256))
+        rows_s, rows_b = signals.reshape(-1, 256), baselines.reshape(-1, 256)
+        for fn in (power_ratio, correlation_coefficient):
+            expected = _row_by_row(fn, rows_s, rows_b).reshape(3, 100)
+            assert np.array_equal(fn(signals, baselines), expected)
+            one_baseline = _row_by_row(fn, rows_s, [rows_b[0]] * len(rows_s)).reshape(3, 100)
+            assert np.array_equal(fn(signals, rows_b[0]), one_baseline)
+
+    def test_degenerate_entries_are_nan(self):
+        rng = np.random.default_rng(7)
+        signals = rng.normal(size=(4, 16))
+        baselines = rng.normal(size=(4, 16))
+        baselines[1] = 0.0
+        signals[2] = 3.0
+        ratio = power_ratio(signals, baselines)
+        corr = correlation_coefficient(signals, baselines)
+        assert np.array_equal(np.isnan(ratio), [False, True, False, False])
+        assert np.array_equal(np.isnan(corr), [False, True, True, False])
+        assert ratio[2] == power_ratio(signals[2], baselines[2])
+
+    def test_one_channel_stack_is_an_array(self):
+        result = power_ratio([[1.0, 2.0]], [[0.0, 0.0]])
+        assert isinstance(result, np.ndarray) and result.shape == (1,)
+        assert np.isnan(result[0])
+
+    def test_baseline_is_checked_before_the_signal(self):
+        bad = np.full((2, 4), np.nan)
+        with pytest.raises(InvalidInputError, match="baseline"):
+            power_ratio(bad, np.full((2, 4), np.inf))
+        with pytest.raises(InvalidInputError, match="baseline"):
+            power_ratio(bad, np.empty((2, 0)))
+
+
 class TestMinerIndex:
     def test_pristine(self):
         assert miner_damage_index(0, 100_000) == 0.0
