@@ -194,6 +194,8 @@ class WeightSolution:
     reconstruction from the neighbors, ``weight_sum_gap`` is ``|1 - sum(u)|``.
     ``converged`` is True when ``residual_error + weight_sum_gap`` fell below
     the convergence tolerance after the minimum iteration count.
+    ``iterations`` counts the specified loop, including iterations skipped
+    after an exact fixed point because they would repeat it.
     """
 
     weights: np.ndarray
@@ -352,6 +354,12 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     below ``params.convergence_tolerance`` after more than
     ``params.it_convergence`` iterations, and otherwise hands back an
     unconverged solution after ``params.it_local_min + 1`` iterations.
+    ``iterations`` counts that loop. Once a step taken from ``u`` lands on
+    ``u`` bit for bit, every later step would repeat it, so the rest are
+    skipped and the result is what running them out reports: converged at
+    iteration ``it_convergence + 1`` when the repeated error is under the
+    tolerance and that iteration is within the cap, otherwise unconverged
+    after ``it_local_min + 1``.
 
     ``initial_weights`` are expected to be the similarities at the selected
     bandwidth. A query coinciding exactly with a subset point short-circuits
@@ -400,12 +408,20 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
         candidate = np.maximum(z - step * (kt @ rz), 0.0)
         r_new = kmat @ candidate - b
         obj_new = float(r_new @ r_new)
-        if obj_new > objective:
+        restarted = obj_new > objective
+        if restarted:
             # restart from the last accepted point without momentum
             momentum = 1.0
             candidate = np.maximum(u - step * (kt @ r), 0.0)
             r_new = kmat @ candidate - b
             obj_new = float(r_new @ r_new)
+        # A step taken from u that lands on u is taken again by every later
+        # iteration: z stays u, so u, r, the residual and the gap repeat.
+        fixed_point = (
+            obj_new == objective
+            and (restarted or np.array_equal(z, u))
+            and np.array_equal(candidate, u)
+        )
         momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         beta = (momentum - 1.0) / momentum_next
         z = candidate + beta * (candidate - u)
@@ -418,6 +434,14 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
         gap = abs(float(r[-1]))
         if residual + gap < params.convergence_tolerance and iterations > params.it_convergence:
             converged = True
+            break
+        if fixed_point:
+            # report what running the repeats out would have reported
+            converged = (
+                residual + gap < params.convergence_tolerance
+                and params.it_convergence < max_iterations
+            )
+            iterations = params.it_convergence + 1 if converged else max_iterations
             break
 
     if not (math.isfinite(residual) and math.isfinite(gap) and np.all(np.isfinite(u))):

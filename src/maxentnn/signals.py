@@ -107,8 +107,12 @@ def correlation_coefficient(signal, baseline) -> float | np.ndarray:
             f"length mismatch: signal {x.shape[-1]} vs baseline {y.shape[-1]}"
         )
     var_x, var_y, cov = _by_row_blocks(_pearson_terms, *np.broadcast_arrays(x, y))
+    product = var_x * var_y
+    # two tiny nonzero variances can multiply to 0; their roots do not
+    scale = np.where(product < np.finfo(float).tiny, np.sqrt(var_x) * np.sqrt(var_y),
+                     np.sqrt(product))
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.clip(cov / np.sqrt(var_x * var_y), -1.0, 1.0)
+        r = np.clip(cov / scale, -1.0, 1.0)
     return _pair_or_stack(r, (var_x == 0.0) | (var_y == 0.0),
                           "zero-variance signal has no correlation")
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+import maxentnn.core
 from maxentnn import (
     ConvexSubset,
     Dataset,
@@ -24,6 +25,7 @@ from maxentnn import (
     predict_regression,
     solve_weights,
 )
+from maxentnn.core import WeightSolution, _spectral_bound
 
 E_INV = math.exp(-1.0)
 
@@ -263,6 +265,166 @@ class TestSolveWeights:
             solve_weights(np.zeros((0, 2)), [0.0, 0.0], np.array([]), MaxEntParams())
 
 
+def _full_loop_solve(pts, q, u0, params: MaxEntParams) -> WeightSolution:
+    """The weight solve as specified: every iteration up to the caps is run.
+
+    A verbatim copy of ``solve_weights``' loop before it learned to stop at
+    an exact fixed point; the tests below hold the solver to it bit for bit.
+    """
+    pts = np.asarray(pts, dtype=float)
+    q = np.asarray(q, dtype=float)
+    k = pts.shape[0]
+    d2 = np.sum((pts - q) ** 2, axis=1)
+    exact = np.flatnonzero(d2 == 0.0)
+    if exact.size:
+        w = np.zeros(k)
+        w[exact[0]] = 1.0
+        return WeightSolution(w, 0.0, 0.0, 0, True)
+
+    kmat = np.vstack([pts.T, np.ones((1, k))])
+    b = np.append(q, 1.0)
+    step = 1.0 / _spectral_bound(kmat)
+    kt = kmat.T
+    q_norm = float(np.linalg.norm(q))
+
+    u = np.maximum(u0, 0.0)
+    r = kmat @ u - b
+    objective = float(r @ r)
+    z = u
+    rz = r
+    momentum = 1.0
+    residual = math.inf
+    gap = math.inf
+    converged = False
+    iterations = 0
+    max_iterations = params.it_local_min + 1
+    for iterations in range(1, max_iterations + 1):
+        candidate = np.maximum(z - step * (kt @ rz), 0.0)
+        r_new = kmat @ candidate - b
+        obj_new = float(r_new @ r_new)
+        if obj_new > objective:
+            # restart from the last accepted point without momentum
+            momentum = 1.0
+            candidate = np.maximum(u - step * (kt @ r), 0.0)
+            r_new = kmat @ candidate - b
+            obj_new = float(r_new @ r_new)
+        momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+        beta = (momentum - 1.0) / momentum_next
+        z = candidate + beta * (candidate - u)
+        rz = kmat @ z - b
+        u, r, objective, momentum = candidate, r_new, obj_new, momentum_next
+
+        head = r[:-1]
+        diff = math.sqrt(float(head @ head))
+        residual = diff / q_norm if q_norm > 0.0 else diff
+        gap = abs(float(r[-1]))
+        if residual + gap < params.convergence_tolerance and iterations > params.it_convergence:
+            converged = True
+            break
+
+    return WeightSolution(u, residual, gap, iterations, converged)
+
+
+class _StepCounter:
+    """Stands in for numpy in ``maxentnn.core`` and counts projected steps."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, *args, **kwargs):
+        self.steps += 1
+        return np.maximum(*args, **kwargs)
+
+
+class TestFixedPointExit:
+    """A solve that reaches an exact fixed point reports the full loop's result."""
+
+    @staticmethod
+    def _assert_same(sol: WeightSolution, ref: WeightSolution):
+        assert np.array_equal(sol.weights, ref.weights)
+        assert sol.residual_error == ref.residual_error
+        assert sol.weight_sum_gap == ref.weight_sum_gap
+        assert sol.iterations == ref.iterations
+        assert sol.converged == ref.converged
+
+    def _solve_counting_steps(self, monkeypatch, pts, q, u0, params):
+        counter = _StepCounter()
+        with monkeypatch.context() as m:
+            m.setattr(maxentnn.core, "np", counter)
+            sol = solve_weights(pts, q, u0, params)
+        return sol, counter.steps
+
+    def test_one_neighbor_rounds_match_the_full_loop(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.uniform(-1, 1, (30, 2)), rng.uniform(-1, 1, (30, 1)))
+        q = [0.9, 0.95]
+        pred = predict_point(ds, q)
+        monkeypatch.setattr(maxentnn.core, "solve_weights", _full_loop_solve)
+        ref = predict_point(ds, q)
+        assert pred.diagnostics() == ref.diagnostics()
+        assert (ref.n_neighbors, ref.rounds, ref.iterations) == (1, 2, 1001)
+        np.testing.assert_array_equal(pred.value, ref.value)
+        np.testing.assert_array_equal(pred.neighbor_indices, ref.neighbor_indices)
+        np.testing.assert_array_equal(pred.neighbor_weights, ref.neighbor_weights)
+
+    def test_one_neighbor_solve_stops_early(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1, 1, (30, 2))
+        q = np.array([0.9, 0.95])
+        row = pts[[np.argmin(_sq_distances(pts, q))]]
+        u0 = np.exp(-_sq_distances(row, q) / 0.01)
+        params = MaxEntParams()
+        sol, steps = self._solve_counting_steps(monkeypatch, row, q, u0, params)
+        self._assert_same(sol, _full_loop_solve(row, q, u0, params))
+        assert not sol.converged and sol.iterations == params.it_local_min + 1
+        assert steps < 50
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_random_problems_match_the_full_loop(self, k):
+        rng = np.random.default_rng(100 + k)
+        for trial in range(24):
+            d = int(rng.integers(1, 5))
+            pts = rng.uniform(-1, 1, (k, d))
+            if trial % 3 == 0:
+                q = pts[0] + rng.normal(scale=10.0 ** rng.uniform(-6, -2), size=d)
+            elif trial % 3 == 1:
+                q = pts.mean(axis=0) + rng.normal(scale=0.1, size=d)
+            else:
+                q = rng.uniform(-2, 2, d)
+            u0 = rng.uniform(0.01, 1.0, k)
+            params = MaxEntParams(
+                it_convergence=int(rng.integers(1, 40)),
+                it_local_min=int(rng.integers(1, 150)),
+                convergence_tolerance=float(10.0 ** rng.uniform(-4, -1)),
+            )
+            self._assert_same(solve_weights(pts, q, u0, params), _full_loop_solve(pts, q, u0, params))
+
+    def test_fixed_point_under_tolerance_converges_after_it_convergence(self, monkeypatch):
+        row = np.array([[0.3, -0.2]])
+        q = row[0] + 1e-4
+        params = MaxEntParams()
+        sol, steps = self._solve_counting_steps(monkeypatch, row, q, np.array([0.9]), params)
+        self._assert_same(sol, _full_loop_solve(row, q, np.array([0.9]), params))
+        assert sol.converged
+        assert sol.iterations == params.it_convergence + 1
+        # the iterate stopped moving before the minimum iteration count
+        assert steps <= params.it_convergence
+
+    @pytest.mark.parametrize("it_local_min", [28, 29, 30, 31])
+    def test_iteration_cap_at_or_below_it_convergence(self, it_local_min):
+        row = np.array([[0.3, -0.2]])
+        q = row[0] + 1e-4
+        params = MaxEntParams(it_convergence=30, it_local_min=it_local_min)
+        sol = solve_weights(row, q, np.array([0.9]), params)
+        self._assert_same(sol, _full_loop_solve(row, q, np.array([0.9]), params))
+        # the full loop converges only if it runs past it_convergence
+        assert sol.converged == (it_local_min >= 30)
+        assert sol.iterations == (31 if it_local_min >= 30 else it_local_min + 1)
+
+
 class TestPredictRegression:
     def test_single_label(self):
         assert predict_regression([1.0], [0.7]) == pytest.approx(0.7)
@@ -334,8 +496,6 @@ class TestPredictPoint:
 
     @staticmethod
     def _count_solves(monkeypatch):
-        import maxentnn.core
-
         sizes = []
         real = maxentnn.core.solve_weights
 
@@ -437,8 +597,6 @@ class TestPredictBatch:
             assert a.diagnostics() == b.diagnostics()
 
     def test_thread_count_capped_at_cpu_count(self, monkeypatch):
-        import maxentnn.core
-
         asked = []
 
         class SequentialPool:

@@ -99,6 +99,17 @@ class TestCorrelationCoefficient:
         with pytest.raises(DegenerateBaselineError):
             correlation_coefficient([1.0, 1.0], [0.5, 0.7])
 
+    def test_tiny_amplitudes_do_not_underflow_the_variance_product(self):
+        # var_x * var_y is about 1e-400 here, below the smallest normal double
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=64), rng.normal(size=64)
+        r = correlation_coefficient(x, y)
+        assert r == pytest.approx(-0.1724, abs=1e-4)
+        assert correlation_coefficient(x * 1e-100, y * 1e-100) == pytest.approx(r, rel=1e-12)
+        stacked = correlation_coefficient(np.stack([x, x * 1e-100]), np.stack([y, y * 1e-100]))
+        assert stacked[0] == r
+        assert stacked[1] == pytest.approx(r, rel=1e-12)
+
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**31), a=st.floats(0.01, 10), c=st.floats(-5, 5))
     def test_bounds_and_positive_affine_invariance(self, seed, a, c):
