@@ -196,6 +196,9 @@ class WeightSolution:
     the convergence tolerance after the minimum iteration count.
     ``iterations`` counts the specified loop, including iterations skipped
     after an exact fixed point because they would repeat it.
+    ``extrapolated`` is True when the solve stopped early because a duality
+    bound proved that no nonnegative weights reach the tolerance: the query
+    lies too far outside its neighbors' convex hull.
     """
 
     weights: np.ndarray
@@ -203,6 +206,7 @@ class WeightSolution:
     weight_sum_gap: float
     iterations: int
     converged: bool
+    extrapolated: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +219,9 @@ class Prediction:
     ``neighbor_indices`` are the dataset rows the value was built from;
     ``neighbor_weights`` are the blend weights actually applied (regression)
     or the similarities of the voters (classification, where the weights
-    play no role in the value).
+    play no role in the value). ``extrapolated`` is the flag of the last
+    solve, whose neighborhood gave the value (see :class:`WeightSolution`);
+    like the neighbor arrays it is not part of :meth:`diagnostics`.
     """
 
     value: object
@@ -228,6 +234,7 @@ class Prediction:
     rounds: int
     neighbor_indices: np.ndarray
     neighbor_weights: np.ndarray
+    extrapolated: bool = False
 
     def diagnostics(self) -> dict:
         """The documented diagnostics as a JSON-ready dict."""
@@ -354,12 +361,30 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     below ``params.convergence_tolerance`` after more than
     ``params.it_convergence`` iterations, and otherwise hands back an
     unconverged solution after ``params.it_local_min + 1`` iterations.
+    At every iteration that is a multiple of ``params.it_convergence`` the
+    loop also checks a lower bound on the error any nonnegative weights can
+    reach. With ``r = K u - b`` and ``g = K^T r``, the point
+    ``y = min(g) e_last - r`` has ``K^T y <= 0`` because K's last row is all
+    ones, so by weak duality of nonnegative least squares
+    ``b^T y / ||y|| <= ||K u - b||`` for every ``u >= 0``; and
+    ``residual_error + weight_sum_gap >= min(1, 1/||q||) ||K u - b||``. Once
+    ``min(1, 1/||q||) b^T y / ||y||`` reaches the tolerance the solve is
+    certified unconvergeable and stops there, unconverged and
+    ``extrapolated``. Each iteration runs the convergence test first, then
+    this check. So ``it_convergence`` also sets how often the bound is
+    checked: each check costs one more ``K^T r`` product, about a third of
+    an iteration, which at ``it_convergence = 1`` every iteration of a
+    solve that does not converge pays; a larger value delays certified
+    stops to its next multiple.
+
     ``iterations`` counts that loop. Once a step taken from ``u`` lands on
     ``u`` bit for bit, every later step would repeat it, so the rest are
     skipped and the result is what running them out reports: converged at
     iteration ``it_convergence + 1`` when the repeated error is under the
-    tolerance and that iteration is within the cap, otherwise unconverged
-    after ``it_local_min + 1``.
+    tolerance and that iteration is within the cap; otherwise, when the
+    bound at ``u`` holds, extrapolated at the next multiple of
+    ``it_convergence`` within the cap; otherwise unconverged after
+    ``it_local_min + 1``.
 
     ``initial_weights`` are expected to be the similarities at the selected
     bandwidth. A query coinciding exactly with a subset point short-circuits
@@ -392,6 +417,13 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     step = 1.0 / _spectral_bound(kmat)
     kt = kmat.T
     q_norm = float(np.linalg.norm(q))
+    error_scale = min(1.0, 1.0 / q_norm) if q_norm > 0.0 else 1.0
+
+    def cannot_converge(r: np.ndarray) -> bool:
+        y = -r
+        y[-1] += float((kt @ r).min())
+        y_norm = float(np.linalg.norm(y))
+        return y_norm > 0.0 and error_scale * float(b @ y) / y_norm >= params.convergence_tolerance
 
     u = np.maximum(u0, 0.0)
     r = kmat @ u - b
@@ -402,6 +434,7 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     residual = math.inf
     gap = math.inf
     converged = False
+    extrapolated = False
     iterations = 0
     max_iterations = params.it_local_min + 1
     for iterations in range(1, max_iterations + 1):
@@ -435,18 +468,23 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
         if residual + gap < params.convergence_tolerance and iterations > params.it_convergence:
             converged = True
             break
+        if iterations % params.it_convergence == 0 and cannot_converge(r):
+            extrapolated = True
+            break
         if fixed_point:
             # report what running the repeats out would have reported
-            converged = (
-                residual + gap < params.convergence_tolerance
-                and params.it_convergence < max_iterations
-            )
-            iterations = params.it_convergence + 1 if converged else max_iterations
+            if residual + gap < params.convergence_tolerance and params.it_convergence < max_iterations:
+                converged = True
+                iterations = params.it_convergence + 1
+            else:
+                check = (iterations // params.it_convergence + 1) * params.it_convergence
+                extrapolated = check <= max_iterations and cannot_converge(r)
+                iterations = check if extrapolated else max_iterations
             break
 
     if not (math.isfinite(residual) and math.isfinite(gap) and np.all(np.isfinite(u))):
         raise NumericalFailureError("weight iteration produced non-finite values")
-    return WeightSolution(u, residual, gap, iterations, converged)
+    return WeightSolution(u, residual, gap, iterations, converged, extrapolated)
 
 
 def predict_regression(weights, labels):
@@ -596,6 +634,7 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
         rounds,
         subset.indices,
         applied,
+        solution.extrapolated,
     )
 
 

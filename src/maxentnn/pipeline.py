@@ -264,18 +264,60 @@ class FeatureTable:
         return cls(rows, np.isnan(rows), targets, tuple(header[:-1]))
 
 
+# a line whose last cell is empty, with each line ending a file can have
+_EMPTY_LAST_CELL = (",", ",\n", ",\r", ",\r\n")
+
+
+def _plain_numeric_body(fh, n_columns: int, skiprows: int):
+    """The lines after the header as one float array when they are plain numbers, else None.
+
+    A first pass over the lines looks for a quote, an empty cell or a blank
+    line and stops at the first, so a table with missing cells goes to the
+    cell parser without a failed parse. Only a body without them is read
+    again, in one ``np.loadtxt`` call; a cell it cannot read, a non-finite
+    value or a wrong row or column count also gives None.
+    """
+    n_rows = 0
+    for line in fh:
+        if ('"' in line or ",," in line or line.startswith(",")
+                or line.endswith(_EMPTY_LAST_CELL) or line.isspace()):
+            return None
+        n_rows += 1
+    if n_rows == 0:
+        return None
+    fh.seek(0)
+    try:
+        data = np.loadtxt(fh, delimiter=",", skiprows=skiprows, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (n_rows, n_columns) or not np.isfinite(data).all():
+        return None
+    return data
+
+
 def read_numeric_csv(path):
     """Header and float matrix of a headered numeric CSV.
 
     Empty cells become NaN (missing). Any other cell must be a finite
     number: text such as ``abc``, ``inf`` or ``nan`` raises an
     IngestionError naming its line.
+
+    A body without quotes, empty cells or blank lines is parsed in one
+    ``np.loadtxt`` call; any other body, and one that call rejects, is
+    parsed cell by cell, so missing cells and error messages do not depend
+    on the fast path.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise IngestionError(f"{path}: empty file")
+        data = _plain_numeric_body(fh, len(header), reader.line_num)
+        if data is not None:
+            return header, data
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         rows, blanks = [], []
         for lineno, cells in enumerate(reader, start=2):
             if len(cells) != len(header):

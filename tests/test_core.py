@@ -268,8 +268,9 @@ class TestSolveWeights:
 def _full_loop_solve(pts, q, u0, params: MaxEntParams) -> WeightSolution:
     """The weight solve as specified: every iteration up to the caps is run.
 
-    A verbatim copy of ``solve_weights``' loop before it learned to stop at
-    an exact fixed point; the tests below hold the solver to it bit for bit.
+    A copy of ``solve_weights``' loop, with its convergence test and its
+    duality-bound check but without the exit at an exact fixed point; the
+    tests below hold the solver to it bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -286,6 +287,7 @@ def _full_loop_solve(pts, q, u0, params: MaxEntParams) -> WeightSolution:
     step = 1.0 / _spectral_bound(kmat)
     kt = kmat.T
     q_norm = float(np.linalg.norm(q))
+    error_scale = min(1.0, 1.0 / q_norm) if q_norm > 0.0 else 1.0
 
     u = np.maximum(u0, 0.0)
     r = kmat @ u - b
@@ -296,6 +298,7 @@ def _full_loop_solve(pts, q, u0, params: MaxEntParams) -> WeightSolution:
     residual = math.inf
     gap = math.inf
     converged = False
+    extrapolated = False
     iterations = 0
     max_iterations = params.it_local_min + 1
     for iterations in range(1, max_iterations + 1):
@@ -321,8 +324,15 @@ def _full_loop_solve(pts, q, u0, params: MaxEntParams) -> WeightSolution:
         if residual + gap < params.convergence_tolerance and iterations > params.it_convergence:
             converged = True
             break
+        if iterations % params.it_convergence == 0:
+            y = -r
+            y[-1] += float((kt @ r).min())
+            y_norm = float(np.linalg.norm(y))
+            if y_norm > 0.0 and error_scale * float(b @ y) / y_norm >= params.convergence_tolerance:
+                extrapolated = True
+                break
 
-    return WeightSolution(u, residual, gap, iterations, converged)
+    return WeightSolution(u, residual, gap, iterations, converged, extrapolated)
 
 
 class _StepCounter:
@@ -349,6 +359,7 @@ class TestFixedPointExit:
         assert sol.weight_sum_gap == ref.weight_sum_gap
         assert sol.iterations == ref.iterations
         assert sol.converged == ref.converged
+        assert sol.extrapolated == ref.extrapolated
 
     def _solve_counting_steps(self, monkeypatch, pts, q, u0, params):
         counter = _StepCounter()
@@ -365,7 +376,7 @@ class TestFixedPointExit:
         monkeypatch.setattr(maxentnn.core, "solve_weights", _full_loop_solve)
         ref = predict_point(ds, q)
         assert pred.diagnostics() == ref.diagnostics()
-        assert (ref.n_neighbors, ref.rounds, ref.iterations) == (1, 2, 1001)
+        assert (ref.n_neighbors, ref.rounds, ref.iterations) == (1, 2, 20)
         np.testing.assert_array_equal(pred.value, ref.value)
         np.testing.assert_array_equal(pred.neighbor_indices, ref.neighbor_indices)
         np.testing.assert_array_equal(pred.neighbor_weights, ref.neighbor_weights)
@@ -379,7 +390,35 @@ class TestFixedPointExit:
         params = MaxEntParams()
         sol, steps = self._solve_counting_steps(monkeypatch, row, q, u0, params)
         self._assert_same(sol, _full_loop_solve(row, q, u0, params))
-        assert not sol.converged and sol.iterations == params.it_local_min + 1
+        assert not sol.converged and sol.extrapolated
+        assert sol.iterations == params.it_convergence
+        assert steps < 50
+
+    def test_fixed_point_reports_the_next_bound_check(self, monkeypatch):
+        # the iterate stops moving after about 20 steps; the full loop runs on
+        # to the first multiple of it_convergence, where the bound stops it
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1, 1, (30, 2))
+        q = np.array([0.9, 0.95])
+        row = pts[[np.argmin(_sq_distances(pts, q))]]
+        u0 = np.exp(-_sq_distances(row, q) / 0.01)
+        params = MaxEntParams(it_convergence=400)
+        sol, steps = self._solve_counting_steps(monkeypatch, row, q, u0, params)
+        self._assert_same(sol, _full_loop_solve(row, q, u0, params))
+        assert sol.extrapolated and sol.iterations == 400
+        assert steps < 50
+
+    def test_uncertified_fixed_point_runs_to_the_cap(self, monkeypatch):
+        # far from the origin the bound is scaled by 1/||q|| and stays under
+        # the tolerance, while the weight-sum gap alone is about 0.05
+        row = np.array([[10.0, 0.0]])
+        q = np.array([10.5, 0.0])
+        params = MaxEntParams()
+        sol, steps = self._solve_counting_steps(monkeypatch, row, q, np.array([0.9]), params)
+        self._assert_same(sol, _full_loop_solve(row, q, np.array([0.9]), params))
+        assert sol.residual_error + sol.weight_sum_gap > params.convergence_tolerance
+        assert not sol.converged and not sol.extrapolated
+        assert sol.iterations == params.it_local_min + 1
         assert steps < 50
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -423,6 +462,94 @@ class TestFixedPointExit:
         # the full loop converges only if it runs past it_convergence
         assert sol.converged == (it_local_min >= 30)
         assert sol.iterations == (31 if it_local_min >= 30 else it_local_min + 1)
+
+
+class TestCertifiedStop:
+    """A solve stops early only when no nonnegative weights reach the tolerance."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 40])
+    def test_every_stop_is_sound_against_nnls(self, k):
+        rng = np.random.default_rng(700 + k)
+        stops = 0
+        for trial in range(60):
+            d = int(rng.integers(1, 6))
+            pts = rng.uniform(-1, 1, (k, d))
+            centre = pts.mean(axis=0)
+            if trial % 3 == 0:
+                # outside the hull, at up to four times its extent
+                direction = rng.normal(size=d)
+                q = centre + rng.uniform(1.0, 4.0) * direction / np.linalg.norm(direction)
+            elif trial % 3 == 1:
+                q = centre + rng.normal(scale=0.3, size=d)
+            else:
+                q = rng.uniform(-3, 3, d)
+            kmat = np.vstack([pts.T, np.ones(k)])
+            b = np.append(q, 1.0)
+            best, best_norm = nnls(kmat, b)
+            q_norm = float(np.linalg.norm(q))
+            error_scale = min(1.0, 1.0 / q_norm) if q_norm > 0 else 1.0
+            r = kmat @ best - b
+            head = float(np.linalg.norm(r[:-1]))
+            best_error = (head / q_norm if q_norm > 0 else head) + abs(float(r[-1]))
+            if trial % 2 and error_scale * best_norm > 1e-4:
+                # a tolerance near the reachable error makes a loose bound show
+                tolerance = error_scale * best_norm * float(rng.uniform(0.5, 2.0))
+            else:
+                tolerance = float(10.0 ** rng.uniform(-3, -1))
+            params = MaxEntParams(
+                it_convergence=int(rng.integers(1, 40)),
+                convergence_tolerance=tolerance,
+            )
+            sol = solve_weights(pts, q, rng.uniform(0.01, 1.0, k), params)
+            assert not (sol.converged and sol.extrapolated)
+            if sol.extrapolated:
+                stops += 1
+                assert sol.iterations % params.it_convergence == 0
+                assert error_scale * best_norm >= tolerance
+                assert best_error >= tolerance
+        assert stops > 0
+
+    def test_extrapolating_solve_stops_at_it_convergence(self):
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1, 1, (30, 2))
+        q = np.array([6.0, 6.0])
+        params = MaxEntParams()
+        sol = solve_weights(pts, q, np.exp(-_sq_distances(pts, q) / 64.0), params)
+        assert sol.extrapolated and not sol.converged
+        assert sol.iterations == params.it_convergence
+
+    def test_converging_solve_is_never_extrapolated(self):
+        rng = np.random.default_rng(3)
+        params = MaxEntParams()
+        for _ in range(20):
+            pts = rng.uniform(-1, 1, (12, 2))
+            q = rng.uniform(-0.2, 0.2, 2)
+            sol = solve_weights(pts, q, np.exp(-_sq_distances(pts, q)), params)
+            assert sol.converged and not sol.extrapolated
+
+    @pytest.mark.parametrize(
+        "seed, query, flags",
+        [
+            (11, [0.4198363372151015, 0.49992567738080207], [True, False]),
+            (93, [-0.9731053962294963, 0.19438350501485724], [False, True, True]),
+        ],
+    )
+    def test_prediction_flag_comes_from_the_applied_solve(self, monkeypatch, seed, query, flags):
+        solutions = []
+        real = maxentnn.core.solve_weights
+
+        def recording(*args, **kwargs):
+            solutions.append(real(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(maxentnn.core, "solve_weights", recording)
+        rng = np.random.default_rng(seed)
+        ds = Dataset(rng.uniform(-1, 1, (30, 2)), rng.uniform(-1, 1, (30, 1)))
+        pred = predict_point(ds, query)
+        assert [s.extrapolated for s in solutions] == flags
+        assert pred.extrapolated == flags[-1]
+        applied = solutions[-1].weights / solutions[-1].weights.sum()
+        np.testing.assert_array_equal(pred.neighbor_weights, applied)
 
 
 class TestPredictRegression:
@@ -518,7 +645,7 @@ class TestPredictPoint:
         assert sizes == [30]
         assert pred.exit_reason == "local_minimum"
         assert pred.rounds == 2
-        assert pred.iterations == params.it_local_min + 1
+        assert pred.extrapolated and pred.iterations == params.it_convergence
 
         rows = pts[pred.neighbor_indices]
         sims = np.exp(-np.sum((rows - q) ** 2, axis=1) / (pred.bandwidth * pred.bandwidth))
@@ -535,7 +662,8 @@ class TestPredictPoint:
         rng = np.random.default_rng(0)
         ds = Dataset(rng.uniform(-1, 1, (30, 2)), rng.uniform(-1, 1, (30, 1)))
         pred = predict_point(ds, [1.3, 0.2])
-        assert len(sizes) == pred.rounds == 2
+        # round 3 reselects round 2's rows and is not solved again
+        assert len(sizes) == pred.rounds - 1 == 2
         assert sizes[0] < sizes[1] == pred.n_neighbors
 
     def test_dimension_mismatch(self):

@@ -10,6 +10,7 @@ from maxentnn import (
     standard_layups,
     stiffness_feature_row,
 )
+import maxentnn.pipeline
 from maxentnn.errors import DegenerateBaselineError, IngestionError, InvalidInputError
 from maxentnn.pipeline import (
     ChannelMeasurement,
@@ -24,6 +25,7 @@ from maxentnn.pipeline import (
     build_feature_row,
     fit_imputer,
     fit_scaler,
+    read_numeric_csv,
     read_records,
     write_records,
 )
@@ -231,6 +233,107 @@ class TestFeatureTableCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(IngestionError, match="header mismatch"):
             FeatureTable.from_csv(path)
+
+
+class TestReadNumericCsv:
+    """The one-call fast path returns what the cell-by-cell parser returns."""
+
+    @staticmethod
+    def _outcome(path):
+        try:
+            header, data = read_numeric_csv(path)
+        except IngestionError as exc:
+            return "error", str(exc)
+        return header, data
+
+    def _both(self, monkeypatch, path):
+        fast_results = []
+        real = maxentnn.pipeline._plain_numeric_body
+
+        def spy(*args):
+            fast_results.append(real(*args))
+            return fast_results[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(maxentnn.pipeline, "_plain_numeric_body", spy)
+            got = self._outcome(path)
+        with monkeypatch.context() as m:
+            m.setattr(maxentnn.pipeline, "_plain_numeric_body", lambda *args: None)
+            want = self._outcome(path)
+        assert got[0] == want[0]
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+            np.testing.assert_array_equal(got[1], want[1])
+            assert np.array_equal(np.isnan(got[1]), np.isnan(want[1]))
+        return got, fast_results[0] is not None
+
+    def test_random_repr_table_is_bit_equal(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(40, 7)) * 10.0 ** rng.integers(-300, 300, size=(40, 7))
+        path = tmp_path / "t.csv"
+        lines = [",".join(f"c{j}" for j in range(7))]
+        lines += [",".join(repr(float(v)) for v in row) for row in values]
+        path.write_text("\n".join(lines) + "\n")
+        (header, data), fast = self._both(monkeypatch, path)
+        assert fast
+        assert data.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, fast",
+        [
+            ("a,b\n1,2\n", True),
+            ("a,b\r\n1,2\r\n-3.5e-7,4\r\n", True),
+            ("a,b\n1,2\n3,4", True),
+            ("a\n1\n2\n", True),
+            ('a,"b\nc"\n1,2\n', True),
+            ("a,b\n1,\n3,4\n", False),
+            ("a,b\n1,abc\n", False),
+            ("a,b\n1,nan\n", False),
+            ("a,b\n1,inf\n", False),
+            ("a,b\n1e400,2\n", False),
+            ("a,b\n1,2\n3\n", False),
+            ("a,b\n1,2,3\n", False),
+            ('a,b\n"1.5",2\n', False),
+            ("a,b\n", False),
+            ("a,b\n1,2\n\n3,4\n", False),
+            ("a,b\n1,2\n3,4\n\n", False),
+            ("a,b\n1,2\n  \n", False),
+            ("a,b\r1,2\r\r3,4\r", False),
+        ],
+    )
+    def test_result_or_error_is_unchanged(self, tmp_path, monkeypatch, text, fast):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        _, used_fast = self._both(monkeypatch, path)
+        assert used_fast == fast
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n,2\n3,4\n",
+            "a,b\n1,2\n3,\n",
+            "a,b\n1,2\n3,",
+            "a,b\r\n1,2\r\n3,\r\n",
+            "a,b\r1,\r3,4\r",
+            "a,b,c\n1,,3\n",
+            'a,b\n"1.5",2\n',
+            "a,b\n1,2\n\n3,4\n",
+            "a,b\n1,2\n  \n",
+        ],
+    )
+    def test_quotes_empty_cells_and_blank_lines_never_reach_loadtxt(
+        self, tmp_path, monkeypatch, text
+    ):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt ran on a body the text scan rules out")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        self._both(monkeypatch, path)
 
 
 class TestScalers:
