@@ -17,6 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,7 +123,21 @@ class Dataset:
     task: str = "regression"
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        self._freeze(np.array(self.points, dtype=float))
+
+    @classmethod
+    def _adopt(cls, points: np.ndarray, labels, task: str = "regression") -> "Dataset":
+        """A Dataset that takes ``points``, a fresh float64 array that no
+        caller keeps, as its own instead of copying it; the checks are the
+        constructor's."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "labels", labels)
+        object.__setattr__(ds, "task", task)
+        ds._freeze(points)
+        return ds
+
+    def _freeze(self, pts: np.ndarray):
+        """Validate ``pts`` and the labels, then store both read-only."""
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -164,6 +179,17 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def _whole_table(self) -> "_Neighborhood":
+        """The solver's operator over every row, built on first use.
+
+        A query far from every row blends the whole table, and every such
+        query on this Dataset shares the operator and its step; an append
+        makes a new Dataset, which builds its own.
+        """
+        # a gather of rows is C-ordered, so the whole table is read as one
+        return _neighborhood(np.ascontiguousarray(self.points))
 
 
 @dataclass(frozen=True)
@@ -335,7 +361,7 @@ def optimize_bandwidth(prefilter: ConvexSubset, params: MaxEntParams) -> ConvexS
 def _spectral_bound(kmat: np.ndarray, sweeps: int = 16) -> float:
     """Upper estimate of ||K||_2^2 by power iteration with a safety margin."""
     v = np.ones(kmat.shape[1]) / math.sqrt(kmat.shape[1])
-    lam = float(np.sum(kmat * kmat))  # Frobenius fallback
+    lam = None
     for _ in range(sweeps):
         w = kmat.T @ (kmat @ v)
         norm = float(np.linalg.norm(w))
@@ -343,7 +369,40 @@ def _spectral_bound(kmat: np.ndarray, sweeps: int = 16) -> float:
             break
         lam = norm / float(np.linalg.norm(v))
         v = w / norm
+    if lam is None:
+        lam = float(np.sum(kmat * kmat))  # Frobenius fallback
     return 1.05 * lam
+
+
+@dataclass(frozen=True, eq=False)
+class _Neighborhood:
+    """Neighbor rows prepared as the weight solve's operator.
+
+    ``kmat`` is the read-only ``(n + 1, k)`` matrix ``[X^T; 1]`` and
+    ``step`` the solve's gradient step ``1 / L``. As an array it is the
+    ``(k, n)`` rows.
+    """
+
+    kmat: np.ndarray
+    step: float
+
+    def __len__(self) -> int:
+        return self.kmat.shape[1]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.kmat[:-1].T, dtype=dtype, copy=copy)
+
+
+def _neighborhood(rows: np.ndarray) -> _Neighborhood:
+    """Prepare ``(k, n)`` finite rows for the weight solve.
+
+    The memory layout of ``kmat`` follows the rows' and decides the bits of
+    the matrix-vector products, so ``predict_point`` passes C-ordered rows,
+    as a gather of rows gives.
+    """
+    kmat = np.vstack([rows.T, np.ones((1, rows.shape[0]))])
+    kmat.setflags(write=False)
+    return _Neighborhood(kmat, 1.0 / _spectral_bound(kmat))
 
 
 def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -> WeightSolution:
@@ -389,7 +448,18 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     ``initial_weights`` are expected to be the similarities at the selected
     bandwidth. A query coinciding exactly with a subset point short-circuits
     to a unit weight on that point.
+
+    ``subset_points`` is a ``(k, n)`` array of rows, which are checked, or
+    the neighborhood ``predict_point`` prepares: the rows already laid out
+    as ``K`` with the step computed, so the solve starts at its loop. That
+    path runs neither the finiteness check, since ``Dataset`` rows are
+    finite, nor the duplicate scan, since ``predict_point`` has already
+    answered any query at distance zero from a row. Its results are the
+    bits the array path gives for the same rows. A neighborhood of the whole
+    table is prepared once per ``Dataset`` and shared by its queries.
     """
+    if isinstance(subset_points, _Neighborhood):
+        return _iterate(subset_points.kmat, subset_points.step, query, initial_weights, params)
     pts = np.asarray(subset_points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
@@ -412,9 +482,14 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
         w[exact[0]] = 1.0
         return WeightSolution(w, 0.0, 0.0, 0, True)
 
-    kmat = np.vstack([pts.T, np.ones((1, k))])
+    nb = _neighborhood(pts)
+    return _iterate(nb.kmat, nb.step, q, u0, params)
+
+
+def _iterate(kmat: np.ndarray, step: float, q: np.ndarray, u0: np.ndarray,
+             params: MaxEntParams) -> WeightSolution:
+    """The loop of :func:`solve_weights` over ``K = kmat`` with step ``1 / L``."""
     b = np.append(q, 1.0)
-    step = 1.0 / _spectral_bound(kmat)
     kt = kmat.T
     q_norm = float(np.linalg.norm(q))
     error_scale = min(1.0, 1.0 / q_norm) if q_norm > 0.0 else 1.0
@@ -544,6 +619,8 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     without a second solve: the solve is deterministic, so it would return
     the same weights and a zero change in total error. A query exactly
     duplicating a training point short-circuits to that point's label.
+    Each solved neighborhood is prepared once as the solve's operator; the
+    whole table's is kept on the ``Dataset`` for its later queries.
     """
     if params is None:
         params = MaxEntParams()
@@ -590,7 +667,11 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
             last = (last[0], subset)
             exit_reason = "local_minimum"
             break
-        solution = solve_weights(dataset.points[subset.indices], q, subset.rbf_values, params)
+        if subset.size == dataset.n_points:
+            neighborhood = dataset._whole_table
+        else:
+            neighborhood = _neighborhood(dataset.points[subset.indices])
+        solution = solve_weights(neighborhood, q, subset.rbf_values, params)
         last = (solution, subset)
         if solution.converged:
             exit_reason = "converged"

@@ -537,9 +537,9 @@ class OnlineStore:
         """Append a ``(k, n)`` matrix of raw feature rows and their ``k``
         targets with one copy of the table; returns the first new row's index."""
         ds = self._dataset
-        # the normalized rows are dropped once stacked, before Dataset copies the stack
-        self._dataset = Dataset(np.vstack([ds.points, self.normalize(rows)]),
-                                np.append(ds.labels, targets), "regression")
+        # the new Dataset adopts the stack, which no one else holds, as its points
+        self._dataset = Dataset._adopt(np.vstack([ds.points, self.normalize(rows)]),
+                                       np.append(ds.labels, targets))
         return ds.n_points
 
     def append_row(self, features, target: float) -> int:

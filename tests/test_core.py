@@ -25,7 +25,8 @@ from maxentnn import (
     predict_regression,
     solve_weights,
 )
-from maxentnn.core import WeightSolution, _spectral_bound
+from maxentnn.core import WeightSolution, _neighborhood, _spectral_bound
+from maxentnn.pipeline import FeatureTable, OnlineStore
 
 E_INV = math.exp(-1.0)
 
@@ -552,6 +553,97 @@ class TestCertifiedStop:
         np.testing.assert_array_equal(pred.neighbor_weights, applied)
 
 
+class TestPreparedNeighborhood:
+    """``predict_point`` hands the solve its neighborhood prepared as ``K``."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        calls = []
+        real = maxentnn.core.solve_weights
+
+        def recording(subset_points, query, initial_weights, params):
+            sol = real(subset_points, query, initial_weights, params)
+            calls.append((subset_points, np.array(query), np.array(initial_weights), params, sol))
+            return sol
+
+        monkeypatch.setattr(maxentnn.core, "solve_weights", recording)
+        return calls
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_every_solve_matches_the_array_path(self, monkeypatch, task):
+        calls = self._recording(monkeypatch)
+        rng = np.random.default_rng(31 if task == "regression" else 32)
+        whole = 0
+        for trial in range(12):
+            m, d = int(rng.integers(5, 60)), int(rng.integers(1, 6))
+            pts = rng.uniform(-1, 1, (m, d))
+            if task == "regression":
+                ds = Dataset(pts, rng.uniform(-1, 1, (m, int(rng.integers(1, 3)))))
+            else:
+                ds = Dataset(pts, rng.integers(0, 3, m), task="classification")
+            params = MaxEntParams(it_convergence=int(rng.integers(1, 40)))
+            before = len(calls)
+            # queries inside the cloud, near its edge and far outside it
+            for scale in (0.5, 1.5, 8.0):
+                predict_point(ds, rng.uniform(-scale, scale, d), params)
+            whole += sum(len(c[0]) == m for c in calls[before:])
+        assert whole > 0 and len(calls) > 36
+        for nb, q, u0, params, sol in calls:
+            ref = solve_weights(np.asarray(nb), q, u0, params)
+            assert np.array_equal(sol.weights, ref.weights)
+            assert sol.residual_error == ref.residual_error
+            assert sol.weight_sum_gap == ref.weight_sum_gap
+            assert sol.iterations == ref.iterations
+            assert sol.converged == ref.converged
+            assert sol.extrapolated == ref.extrapolated
+
+    def test_whole_table_operator_is_built_once_per_snapshot(self, monkeypatch):
+        bounds = []
+        real = maxentnn.core._spectral_bound
+
+        def counting(kmat, *args):
+            bounds.append(kmat.shape[1])
+            return real(kmat, *args)
+
+        monkeypatch.setattr(maxentnn.core, "_spectral_bound", counting)
+        rng = np.random.default_rng(0)
+        table = FeatureTable(rng.uniform(-1, 1, (30, 2)), np.zeros((30, 2), bool),
+                             rng.uniform(0, 1, 30), columns=("x1", "x2"))
+        store = OnlineStore.from_table(table, scaler_kind=None)
+        first = [store.predict(q) for q in ([6.0, 6.0], [-6.0, 5.0])]
+        assert [p.n_neighbors for p in first] == [30, 30]
+        assert all(p.extrapolated for p in first)
+        assert bounds == [30]
+        store.append_row([0.1, 0.2], target=0.5)
+        assert store.predict([6.0, 6.0]).n_neighbors == 31
+        assert bounds == [30, 31]
+
+    def test_prepared_operator_is_read_only(self):
+        rng = np.random.default_rng(1)
+        ds = Dataset(rng.uniform(-1, 1, (10, 3)), rng.uniform(-1, 1, (10, 1)))
+        for nb in (ds._whole_table, _neighborhood(ds.points[[1, 4, 7]])):
+            assert not nb.kmat.flags.writeable
+            with pytest.raises(ValueError):
+                nb.kmat[0, 0] = 1.0
+        np.testing.assert_array_equal(np.asarray(ds._whole_table), ds.points)
+        assert ds._whole_table is ds._whole_table
+
+    def test_threads_sharing_the_whole_table_match_a_serial_run(self):
+        rng = np.random.default_rng(2)
+        pts = rng.uniform(-1, 1, (40, 3))
+        labels = rng.uniform(-1, 1, (40, 2))
+        queries = rng.uniform(5.0, 9.0, (16, 3)) * rng.choice([-1.0, 1.0], (16, 3))
+        # a fresh Dataset each time, so the parallel run builds the memo under threads
+        serial = predict_batch(Dataset(pts, labels), queries, parallelism=1)
+        parallel = predict_batch(Dataset(pts, labels), queries, parallelism=2)
+        assert all(p.n_neighbors == 40 for p in serial)
+        for a, b in zip(serial, parallel):
+            np.testing.assert_array_equal(a.value, b.value)
+            np.testing.assert_array_equal(a.neighbor_weights, b.neighbor_weights)
+            assert a.diagnostics() == b.diagnostics()
+            assert a.extrapolated == b.extrapolated
+
+
 class TestPredictRegression:
     def test_single_label(self):
         assert predict_regression([1.0], [0.7]) == pytest.approx(0.7)
@@ -798,6 +890,16 @@ class TestDatasetValidation:
         ds = Dataset([[0.0]], [[1.0]])
         with pytest.raises(ValueError):
             ds.points[0, 0] = 5.0
+
+    def test_adopted_points_are_not_copied_and_are_checked(self):
+        pts = np.array([[0.0, 1.0], [2.0, 3.0]])
+        ds = Dataset._adopt(pts, [0.5, 1.5])
+        assert ds.points is pts and not pts.flags.writeable
+        np.testing.assert_array_equal(ds.labels, [[0.5], [1.5]])
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            Dataset._adopt(np.array([[np.nan]]), [0.0])
+        with pytest.raises(InvalidInputError, match="label rows"):
+            Dataset._adopt(np.zeros((2, 1)), [0.0])
 
     def test_classification_labels_must_be_integral(self):
         with pytest.raises(InvalidInputError):

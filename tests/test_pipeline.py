@@ -512,6 +512,17 @@ class TestOnlineStore:
         row[:] = 9.0
         np.testing.assert_array_equal(store.snapshot().points[idx], np.full(6, 0.25))
 
+    def test_appended_rows_are_not_the_callers_array(self):
+        table = random_table(m=10, seed=2)
+        store = OnlineStore.from_table(table, scaler_kind=None)
+        rows = np.full((3, 6), 0.25)
+        store.append_rows(rows, [0.1, 0.2, 0.3])
+        points = store.snapshot().points
+        assert not np.shares_memory(points, rows)
+        assert not points.flags.writeable
+        rows[:] = 9.0
+        np.testing.assert_array_equal(points[10:], np.full((3, 6), 0.25))
+
     def test_cluster_appends_pull_prediction_to_cluster_target(self):
         # broad zero-labeled cloud, then a tight one-labeled cluster lands
         # around the query: the prediction must drift monotonically to 1
