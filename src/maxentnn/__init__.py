@@ -42,7 +42,6 @@ from .laminate import (
 from .signals import (
     correlation_coefficient,
     miner_damage_index,
-    miner_damage_total,
     power_ratio,
 )
 

@@ -92,6 +92,8 @@ def _write_json(payload: dict, path: str | None) -> None:
 def _cmd_toy(args, kind: str) -> int:
     if args.train < 1 or args.eval < 1:
         raise _UsageError("--train and --eval must be >= 1")
+    if not 1 <= args.k <= args.train:
+        raise _UsageError(f"--k must lie in 1..--train ({args.train}), got {args.k}")
     spec = ToySpec(kind, args.train, args.eval, args.seed)
     params = _params_from(args)
     workers = _parallelism(args)
@@ -156,7 +158,7 @@ def _cmd_features(args) -> int:
     records, skipped = read_records(args.records, strict=not args.lenient)
     table = FeatureTable.from_records(records, failure_cycles=failure_cycles)
     table.to_csv(args.out)
-    masked = int(table.mask.sum())
+    masked = int(np.isnan(table.rows).sum())
     print(f"rows={len(table)} masked_cells={masked} skipped={skipped}")
     if skipped:
         print(f"warning: skipped {skipped} malformed line(s)", file=sys.stderr)
@@ -226,7 +228,7 @@ def _cmd_append(args) -> int:
     records, skipped = read_records(args.records, strict=not args.lenient)
     if records:
         # one append for the whole file: each append copies the table.
-        # Masked cells are already NaN: build_feature_row writes only unmasked ones
+        # Missing cells are NaN, which normalize imputes as the table's were
         appended = FeatureTable.from_records(records, failure_cycles=failure_cycles)
         store.append_rows(appended.rows, appended.targets)
     print(f"appended={len(records)} skipped={skipped} rows={len(store)} "

@@ -32,19 +32,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlyProperties:
-    """In-plane elastic constants of one unidirectional ply.
-
-    ``nu23`` and ``g23`` (out-of-plane) are accepted for completeness but
-    take no part in the in-plane stiffness.
-    """
+    """In-plane elastic constants of one unidirectional ply."""
 
     e1: float
     e2: float
     nu12: float
     g12: float
     thickness: float
-    nu23: float | None = None
-    g23: float | None = None
 
     def __post_init__(self):
         for name in ("e1", "e2", "g12", "thickness"):
@@ -58,8 +52,7 @@ class PlyProperties:
 
 
 # Torayca T700G unidirectional carbon prepreg (GPa / mm).
-T700_PLY = PlyProperties(e1=137.5, e2=8.4, nu12=0.309, g12=6.2, thickness=0.132,
-                         nu23=0.5, g23=3.092)
+T700_PLY = PlyProperties(e1=137.5, e2=8.4, nu12=0.309, g12=6.2, thickness=0.132)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ A measurement record (one inspection of one coupon) is turned into a fixed
 530-column feature row: 252 power ratios, 252 correlation coefficients, the
 18 laminate stiffness terms, 4 one-hot condition flags, 3 one-hot layup
 flags and the applied load. The target is the damage fraction n/N. Dead or
-absent channels become masked cells that are median-imputed before scaling,
-so one bad sensor path never discards a record.
+absent channels become missing cells, which are NaN and nothing else, and
+are median-imputed before scaling, so one bad sensor path never discards a
+record.
 """
 
 from __future__ import annotations
@@ -149,8 +150,9 @@ def build_feature_row(record, layups=None, failure_cycles=None):
 
     ``layups`` maps layup id -> Layup (defaults to the three coupon stacks)
     and ``failure_cycles`` maps coupon id -> cycles at failure. Returns the
-    530-wide feature vector, a boolean mask flagging missing cells (absent
-    channels, dead baselines) and the damage-fraction target.
+    530-wide feature vector, whose missing cells (absent channels, dead
+    baselines) are NaN, the boolean mask ``np.isnan(features)`` and the
+    damage-fraction target.
     """
     if layups is None:
         layups = _STANDARD_LAYUPS
@@ -159,8 +161,8 @@ def build_feature_row(record, layups=None, failure_cycles=None):
     if record.layup_id not in layups:
         raise IngestionError(f"unknown layup id {record.layup_id!r}")
 
+    # absent channels and dead baselines stay NaN
     features = np.full(_N_FEATURES, np.nan)
-    mask = np.ones(_N_FEATURES, dtype=bool)
 
     # one stacked call per sample count: a record's channels normally share one
     groups = {}
@@ -172,49 +174,45 @@ def build_feature_row(record, layups=None, failure_cycles=None):
         baselines = np.stack([ch.baseline for ch in channels])
         features[cols] = power_ratio(signals, baselines)
         features[N_CHANNELS + cols] = correlation_coefficient(signals, baselines)
-    # absent channels and dead baselines are NaN
-    mask[: 2 * N_CHANNELS] = np.isnan(features[: 2 * N_CHANNELS])
 
     base = 2 * N_CHANNELS
     features[base : base + 18] = _stiffness_row(layups[record.layup_id])
-    mask[base : base + 18] = False
 
     base += 18
     features[base : base + 4] = 0.0
     features[base + int(record.condition)] = 1.0
-    mask[base : base + 4] = False
 
     base += 4
     features[base : base + 3] = 0.0
     features[base + record.layup_id - 1] = 1.0
-    mask[base : base + 3] = False
 
     features[-1] = record.load
-    mask[-1] = False
 
     target = miner_damage_index(record.cycles, failure_cycles[record.coupon_id])
-    return features, mask, target
+    return features, np.isnan(features), target
 
 
 @dataclass
 class FeatureTable:
-    """A feature matrix with a per-cell missing mask and damage targets."""
+    """A feature matrix and its damage targets; a NaN cell is a missing one.
+
+    NaN is the only marker of a missing cell, so an infinite cell is
+    rejected rather than read as either a value or a gap.
+    """
 
     rows: np.ndarray
-    mask: np.ndarray
     targets: np.ndarray
     columns: tuple = FEATURE_COLUMNS
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=bool)
         self.targets = np.asarray(self.targets, dtype=float)
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns):
             raise IngestionError(
                 f"feature rows must be (m, {len(self.columns)}), got {self.rows.shape}"
             )
-        if self.mask.shape != self.rows.shape:
-            raise IngestionError("mask shape must match rows")
+        if np.isinf(self.rows).any():
+            raise IngestionError("infinite feature value; only NaN marks a missing cell")
         if self.targets.shape != (self.rows.shape[0],):
             raise IngestionError("targets must be one value per row")
 
@@ -225,19 +223,18 @@ class FeatureTable:
     def from_records(cls, records, layups=None, failure_cycles=None) -> "FeatureTable":
         triples = [build_feature_row(r, layups, failure_cycles) for r in records]
         if not triples:
-            return cls(np.zeros((0, _N_FEATURES)), np.zeros((0, _N_FEATURES), bool), np.zeros(0))
+            return cls(np.zeros((0, _N_FEATURES)), np.zeros(0))
         rows = np.stack([t[0] for t in triples])
-        mask = np.stack([t[1] for t in triples])
         targets = np.array([t[2] for t in triples])
-        return cls(rows, mask, targets)
+        return cls(rows, targets)
 
     def to_csv(self, path) -> None:
-        """Write the canonical header plus one row per record; masked cells are empty."""
+        """Write the canonical header plus one row per record; missing cells are empty."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(list(self.columns) + [TARGET_COLUMN])
-            for row, miss, target in zip(self.rows, self.mask, self.targets):
-                cells = ["" if m else repr(float(v)) for v, m in zip(row, miss)]
+            for row, target in zip(self.rows, self.targets):
+                cells = ["" if math.isnan(v) else repr(v) for v in row.tolist()]
                 cells.append(repr(float(target)))
                 writer.writerow(cells)
 
@@ -245,7 +242,7 @@ class FeatureTable:
     def from_csv(cls, path) -> "FeatureTable":
         """Read a numeric table whose last column is the target ``D``.
 
-        The other header names become ``columns``; empty cells are masked.
+        The other header names become ``columns``; empty cells are missing (NaN).
         """
         header, data = read_numeric_csv(path)
         if header[-1:] != [TARGET_COLUMN]:
@@ -260,8 +257,7 @@ class FeatureTable:
             raise IngestionError(
                 f"{path}:{i + 2}: damage fraction must lie in [0, 1], got {targets[i]}"
             )
-        rows = data[:, :-1]
-        return cls(rows, np.isnan(rows), targets, tuple(header[:-1]))
+        return cls(data[:, :-1], targets, tuple(header[:-1]))
 
 
 # a line whose last cell is empty, with each line ending a file can have
@@ -403,28 +399,32 @@ def write_records(path, records) -> None:
 
 @dataclass(frozen=True)
 class ImputerSpec:
-    """Frozen per-column medians used to fill masked cells."""
+    """Frozen per-column medians used to fill missing cells."""
 
     medians: np.ndarray
 
 
 def fit_imputer(table: FeatureTable) -> ImputerSpec:
-    """Median of the unmasked cells per column; 0 for fully masked columns."""
-    medians = np.zeros(table.rows.shape[1])
-    masked = table.mask.any(axis=0)
-    full = np.flatnonzero(~masked)
+    """Median of the present (non-NaN) cells per column; 0 for fully missing columns."""
+    rows = table.rows
+    missing = np.isnan(rows)
+    medians = np.zeros(rows.shape[1])
+    gappy = missing.any(axis=0)
+    full = np.flatnonzero(~gappy)
     if len(table):
-        medians[full] = np.median(table.rows[:, full], axis=0)
-    for j in np.flatnonzero(masked):
-        live = table.rows[~table.mask[:, j], j]
+        medians[full] = np.median(rows[:, full], axis=0)
+    for j in np.flatnonzero(gappy):
+        live = rows[~missing[:, j], j]
         if live.size:
             medians[j] = float(np.median(live))
     return ImputerSpec(medians)
 
 
-def apply_imputer(spec: ImputerSpec, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def apply_imputer(spec: ImputerSpec, rows: np.ndarray) -> np.ndarray:
+    """A copy of ``rows`` with each NaN cell set to its column's median."""
     filled = np.array(rows, dtype=float)
-    filled[mask] = np.broadcast_to(spec.medians, rows.shape)[mask]
+    missing = np.isnan(filled)
+    filled[missing] = np.broadcast_to(spec.medians, filled.shape)[missing]
     return filled
 
 
@@ -448,7 +448,7 @@ def fit_scaler(rows: np.ndarray, kind: str = "minmax_pm1") -> ScalerSpec:
     if x.ndim != 2 or x.shape[0] < 1:
         raise InvalidInputError(f"scaler needs a nonempty 2-D matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise InvalidInputError("scaler input must be complete; impute masked cells first")
+        raise InvalidInputError("scaler input must be complete; impute missing cells first")
     if kind == "minmax_pm1":
         lo, hi = x.min(axis=0), x.max(axis=0)
         center = 0.5 * (lo + hi)
@@ -508,7 +508,7 @@ class OnlineStore:
         already be normalized).
         """
         imputer = fit_imputer(table)
-        points = apply_imputer(imputer, table.rows, table.mask)
+        points = apply_imputer(imputer, table.rows)
         scaler = None
         if scaler_kind is not None:
             scaler = fit_scaler(points, scaler_kind)
@@ -528,9 +528,8 @@ class OnlineStore:
             raise IngestionError(f"expected {len(self.columns)} features, got shape {x.shape}")
         if np.isinf(x).any():
             raise IngestionError("infinite feature value; only NaN marks a missing cell")
-        missing = np.isnan(x)
-        if missing.any():
-            x = apply_imputer(self.imputer, x, missing)
+        if np.isnan(x).any():
+            x = apply_imputer(self.imputer, x)
         return x if self.scaler is None else apply_scaler(self.scaler, x)
 
     def append_rows(self, rows, targets) -> int:

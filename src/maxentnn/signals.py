@@ -16,7 +16,6 @@ __all__ = [
     "power_ratio",
     "correlation_coefficient",
     "miner_damage_index",
-    "miner_damage_total",
 ]
 
 
@@ -125,8 +124,3 @@ def miner_damage_index(cycles_endured: int, cycles_to_failure: int) -> float:
     if not (0 <= n <= big_n):
         raise InvalidInputError(f"cycles_endured must lie in [0, {big_n}], got {n!r}")
     return float(n) / float(big_n)
-
-
-def miner_damage_total(states) -> float:
-    """Sum of per-frequency damage fractions for a multi-frequency history."""
-    return float(sum(miner_damage_index(n, big_n) for n, big_n in states))

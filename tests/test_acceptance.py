@@ -205,8 +205,7 @@ class TestOnlineLearning:
     def test_append_then_predict_without_refit(self):
         rng = np.random.default_rng(12)
         rows = rng.normal(size=(90, 8))
-        table = FeatureTable(rows, np.zeros(rows.shape, bool),
-                             rng.uniform(0, 1, 90), tuple(f"f{i}" for i in range(8)))
+        table = FeatureTable(rows, rng.uniform(0, 1, 90), tuple(f"f{i}" for i in range(8)))
         store = OnlineStore.from_table(table)
         fresh = rng.normal(size=8)
         store.append_row(fresh, target=0.734)

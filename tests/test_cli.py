@@ -78,6 +78,17 @@ class TestToyCommands:
         code = main(["toy-reg", "--train", "0", "--out-dir", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["toy-reg", "toy-clf"])
+    @pytest.mark.parametrize("k", ["0", "21"])
+    def test_k_outside_train_is_usage_error_before_any_output(self, tmp_path, capsys,
+                                                              command, k):
+        out = tmp_path / "x"
+        code = main([command, "--train", "20", "--eval", "4", "--k", k,
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "--k" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
+
     def test_bad_param_override_is_usage_error(self, tmp_path):
         code = main(["toy-reg", "--train", "20", "--eval", "4",
                      "--threshold-filter", "0.0", "--out-dir", str(tmp_path / "x")])
@@ -274,12 +285,12 @@ class TestAppendAndEval:
         # query the third row's features
         full = FeatureTable.from_csv(table_csv)
         seed_csv = tmp_path / "seed.csv"
-        FeatureTable(full.rows[:2], full.mask[:2], full.targets[:2]).to_csv(seed_csv)
+        FeatureTable(full.rows[:2], full.targets[:2]).to_csv(seed_csv)
         third = tmp_path / "third.jsonl"
         lines = (tmp_path / "records.jsonl").read_text().splitlines()
         third.write_text(lines[2] + "\n")
         queries = tmp_path / "queries.csv"
-        FeatureTable(full.rows[2:3], full.mask[2:3], full.targets[2:3]).to_csv(queries)
+        FeatureTable(full.rows[2:3], full.targets[2:3]).to_csv(queries)
         preds = tmp_path / "preds.csv"
         assert main(["append", "--table", str(seed_csv), "--records", str(third),
                      "--failure-cycles", str(fc), "--queries", str(queries),

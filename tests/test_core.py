@@ -607,8 +607,8 @@ class TestPreparedNeighborhood:
 
         monkeypatch.setattr(maxentnn.core, "_spectral_bound", counting)
         rng = np.random.default_rng(0)
-        table = FeatureTable(rng.uniform(-1, 1, (30, 2)), np.zeros((30, 2), bool),
-                             rng.uniform(0, 1, 30), columns=("x1", "x2"))
+        table = FeatureTable(rng.uniform(-1, 1, (30, 2)), rng.uniform(0, 1, 30),
+                             columns=("x1", "x2"))
         store = OnlineStore.from_table(table, scaler_kind=None)
         first = [store.predict(q) for q in ([6.0, 6.0], [-6.0, 5.0])]
         assert [p.n_neighbors for p in first] == [30, 30]

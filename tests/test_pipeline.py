@@ -137,6 +137,7 @@ class TestBuildFeatureRow:
         assert mask[8] and mask[N_CHANNELS + 8]
         assert not mask[3] and mask[N_CHANNELS + 3]
         assert features[149] == 0.0 and not mask[149] and mask[N_CHANNELS + 149]
+        assert np.array_equal(mask, np.isnan(features))
 
     def test_signal_and_baseline_lengths_must_match(self):
         with pytest.raises(IngestionError, match="channel 7"):
@@ -223,8 +224,8 @@ class TestFeatureTableCsv:
         table.to_csv(path)
         back = FeatureTable.from_csv(path)
         assert len(back) == 2
-        np.testing.assert_array_equal(back.mask, table.mask)
-        live = ~table.mask
+        np.testing.assert_array_equal(np.isnan(back.rows), np.isnan(table.rows))
+        live = ~np.isnan(table.rows)
         np.testing.assert_array_equal(back.rows[live], table.rows[live])
         np.testing.assert_array_equal(back.targets, table.targets)
 
@@ -362,11 +363,10 @@ class TestScalers:
 class TestImputer:
     def test_median_fill(self):
         rows = np.array([[1.0, 5.0], [3.0, np.nan], [2.0, 7.0]])
-        mask = np.isnan(rows)
-        table = FeatureTable(rows, mask, np.zeros(3), columns=("a", "b"))
+        table = FeatureTable(rows, np.zeros(3), columns=("a", "b"))
         imp = fit_imputer(table)
         np.testing.assert_array_equal(imp.medians, [2.0, 6.0])
-        filled = apply_imputer(imp, rows, mask)
+        filled = apply_imputer(imp, rows)
         assert filled[1, 1] == 6.0
         assert not np.isnan(filled).any()
 
@@ -381,7 +381,7 @@ class TestImputer:
             mask[0, 1] = True  # odd and even live counts across columns
             mask[:, 3] = True  # fully masked column
         rows = np.where(mask, np.nan, rows)
-        table = FeatureTable(rows, mask, np.zeros(m), columns=tuple("abcde"))
+        table = FeatureTable(rows, np.zeros(m), columns=tuple("abcde"))
         reference = np.zeros(5)
         for j in range(5):
             live = rows[~mask[:, j], j]
@@ -401,7 +401,7 @@ def random_table(m=100, width=6, seed=0, masked=False):
         rows = np.where(mask, np.nan, rows)
     targets = rng.uniform(0, 1, size=m)
     columns = tuple(f"f{i}" for i in range(width))
-    return FeatureTable(rows, mask, targets, columns)
+    return FeatureTable(rows, targets, columns)
 
 
 class TestPrepareDataset:
@@ -445,7 +445,7 @@ class TestOnlineStore:
     @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
     def test_from_table_points_are_the_imputed_scaled_rows(self, kind):
         table = random_table(m=40, seed=9, masked=True)
-        filled = apply_imputer(fit_imputer(table), table.rows, table.mask)
+        filled = apply_imputer(fit_imputer(table), table.rows)
         expected = filled if kind is None else apply_scaler(fit_scaler(filled, kind), filled)
         store = OnlineStore.from_table(table, scaler_kind=kind)
         np.testing.assert_array_equal(store.snapshot().points, expected)
@@ -496,6 +496,13 @@ class TestOnlineStore:
         assert len(store) == 30
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_table_rejects_infinite_cells(self, value):
+        rows = random_table(m=30, seed=4, masked=True).rows
+        rows[5, 1] = value
+        with pytest.raises(IngestionError, match="infinite"):
+            FeatureTable(rows, np.zeros(30), tuple(f"f{i}" for i in range(6)))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_predict_rejects_infinite_cells(self, value):
         table = random_table(m=30, seed=4, masked=True)
         store = OnlineStore.from_table(table)
@@ -530,8 +537,7 @@ class TestOnlineStore:
         cloud = rng.uniform(-1.0, 1.0, size=(60, 2))
         keep = np.linalg.norm(cloud, axis=1) > 0.3
         cloud = cloud[keep]
-        table = FeatureTable(cloud, np.zeros(cloud.shape, bool),
-                             np.zeros(cloud.shape[0]), columns=("x1", "x2"))
+        table = FeatureTable(cloud, np.zeros(cloud.shape[0]), columns=("x1", "x2"))
         store = OnlineStore.from_table(table, scaler_kind=None)
         query = np.array([0.0, 0.0])
         trace = [float(np.asarray(store.predict(query).value).ravel()[0])]
@@ -547,8 +553,8 @@ class TestOnlineStore:
 
     def test_record_append(self):
         record = baseline_record(2)
-        features, mask, target = build_feature_row(record, failure_cycles=FAILURE_CYCLES)
-        table = FeatureTable(features.reshape(1, -1), mask.reshape(1, -1), np.array([target]))
+        features, _, target = build_feature_row(record, failure_cycles=FAILURE_CYCLES)
+        table = FeatureTable(features.reshape(1, -1), np.array([target]))
         store = OnlineStore.from_table(table, scaler_kind=None)
         appended = FeatureTable.from_records([record], failure_cycles=FAILURE_CYCLES)
         idx = store.append_rows(appended.rows, appended.targets)
@@ -592,13 +598,12 @@ class TestScalerAbsorbsAffineTransforms:
         rng = np.random.default_rng(21)
         rows = rng.normal(size=(80, 5))
         targets = rng.uniform(0, 1, 80)
-        mask = np.zeros(rows.shape, dtype=bool)
         cols = tuple(f"f{i}" for i in range(5))
         gains = rng.uniform(0.5, 2.0, 5)
         offsets = rng.uniform(-1.0, 1.0, 5)
 
-        plain = FeatureTable(rows, mask, targets, cols)
-        warped = FeatureTable(rows * gains + offsets, mask, targets, cols)
+        plain = FeatureTable(rows, targets, cols)
+        warped = FeatureTable(rows * gains + offsets, targets, cols)
         queries = rng.normal(size=(10, 5))
 
         store_plain = OnlineStore.from_table(plain, scaler_kind="minmax_pm1")

@@ -10,7 +10,6 @@ from maxentnn import (
     InvalidInputError,
     correlation_coefficient,
     miner_damage_index,
-    miner_damage_total,
     power_ratio,
 )
 
@@ -213,7 +212,3 @@ class TestMinerIndex:
         n1 = data.draw(st.integers(0, big_n))
         n2 = data.draw(st.integers(n1, big_n))
         assert miner_damage_index(n1, big_n) <= miner_damage_index(n2, big_n)
-
-    def test_multi_frequency_sum(self):
-        total = miner_damage_total([(10, 100), (5, 50)])
-        assert total == pytest.approx(0.2)
