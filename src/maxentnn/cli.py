@@ -89,9 +89,15 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 # ---------------------------------------------------------------- toy runs
 
+# larger toys are not runs this tool can finish; far larger ones fail inside numpy
+_TOY_MAX_POINTS = 1_000_000
+
+
 def _cmd_toy(args, kind: str) -> int:
-    if args.train < 1 or args.eval < 1:
-        raise _UsageError("--train and --eval must be >= 1")
+    if not (1 <= args.train <= _TOY_MAX_POINTS and 1 <= args.eval <= _TOY_MAX_POINTS):
+        raise _UsageError(f"--train and --eval must lie in 1..{_TOY_MAX_POINTS}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     if not 1 <= args.k <= args.train:
         raise _UsageError(f"--k must lie in 1..--train ({args.train}), got {args.k}")
     spec = ToySpec(kind, args.train, args.eval, args.seed)
@@ -370,9 +376,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     if defaults:
         # argparse subparsers override parent defaults, so config-file
         # values have to be planted on every subparser as well
-        parser.set_defaults(**defaults)
-        for child in subparsers:
+        for child in [parser, *subparsers]:
             child.set_defaults(**defaults)
+            # argparse converts only string defaults, so a flag that takes a
+            # value gets the text a command line would give it, and its type
+            # check with that; null leaves the flag unset
+            for action in child._actions:
+                if action.dest in defaults and action.nargs != 0 and action.default is not None:
+                    action.default = str(action.default)
     return parser
 
 

@@ -359,7 +359,11 @@ def optimize_bandwidth(prefilter: ConvexSubset, params: MaxEntParams) -> ConvexS
 
 
 def _spectral_bound(kmat: np.ndarray, sweeps: int = 16) -> float:
-    """Upper estimate of ||K||_2^2 by power iteration with a safety margin."""
+    """Upper estimate of ||K||_2^2 by power iteration with a safety margin.
+
+    The iteration stops early once a sweep maps ``v`` back onto itself bit
+    for bit: every later sweep would repeat the same ``lam``.
+    """
     v = np.ones(kmat.shape[1]) / math.sqrt(kmat.shape[1])
     lam = None
     for _ in range(sweeps):
@@ -368,7 +372,10 @@ def _spectral_bound(kmat: np.ndarray, sweeps: int = 16) -> float:
         if norm == 0.0:
             break
         lam = norm / float(np.linalg.norm(v))
-        v = w / norm
+        w /= norm
+        if np.array_equal(w, v):
+            break
+        v = w
     if lam is None:
         lam = float(np.sum(kmat * kmat))  # Frobenius fallback
     return 1.05 * lam

@@ -23,7 +23,9 @@ import numpy as np
 from .core import Dataset, MaxEntParams, Prediction, predict_point
 from .errors import IngestionError, InvalidInputError
 from .laminate import STIFFNESS_COLUMNS, abd_matrices, standard_layups, stiffness_feature_row
-from .signals import correlation_coefficient, miner_damage_index, power_ratio
+from .signals import _channel_features, miner_damage_index
+# not called here; imported for perfbench/tracing.py, which wraps them as attributes of this module
+from .signals import correlation_coefficient, power_ratio  # noqa: F401
 
 __all__ = [
     "N_CHANNELS",
@@ -74,7 +76,8 @@ class ChannelMeasurement:
         if not (1 <= int(self.channel_id) <= N_CHANNELS):
             raise IngestionError(f"channel id must lie in 1..{N_CHANNELS}, got {self.channel_id!r}")
         for name in ("signal", "baseline"):
-            x = np.asarray(getattr(self, name), dtype=float)
+            # a view, so freezing it leaves the caller's own array writeable
+            x = np.asarray(getattr(self, name), dtype=float).view()
             if x.ndim != 1 or x.size < 2:
                 raise IngestionError(f"channel {self.channel_id}: {name} needs at least 2 samples")
             if not np.all(np.isfinite(x)):
@@ -164,16 +167,14 @@ def build_feature_row(record, layups=None, failure_cycles=None):
     # absent channels and dead baselines stay NaN
     features = np.full(_N_FEATURES, np.nan)
 
-    # one stacked call per sample count: a record's channels normally share one
+    # one kernel call per sample count: a record's channels normally share one
     groups = {}
     for ch in record.channels:
         groups.setdefault(ch.signal.size, []).append(ch)
     for channels in groups.values():
         cols = np.array([ch.channel_id - 1 for ch in channels])
-        signals = np.stack([ch.signal for ch in channels])
-        baselines = np.stack([ch.baseline for ch in channels])
-        features[cols] = power_ratio(signals, baselines)
-        features[N_CHANNELS + cols] = correlation_coefficient(signals, baselines)
+        features[cols], features[N_CHANNELS + cols] = _channel_features(
+            [ch.signal for ch in channels], [ch.baseline for ch in channels])
 
     base = 2 * N_CHANNELS
     features[base : base + 18] = _stiffness_row(layups[record.layup_id])
@@ -352,7 +353,8 @@ def _record_from_json(obj: dict) -> MeasurementRecord:
         )
     except IngestionError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: JSON's Infinity as an integer field, or an integer too large for a float
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestionError(f"malformed record: {exc}") from exc
 
 

@@ -1,16 +1,24 @@
 """End-to-end CLI tests driving maxentnn.cli.main directly."""
 
+import contextlib
 import csv
 import dataclasses
+import functools
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxentnn.cli import _params_from, build_parser, main
 from maxentnn.core import MaxEntParams
 from maxentnn.laminate import T700_PLY, ply_stiffness_q12
 from maxentnn.pipeline import (
+    TABLE_COLUMNS,
     ChannelMeasurement,
     Condition,
     FeatureTable,
@@ -421,3 +429,253 @@ class TestEvalOverPredictOutput:
         payload = json.loads(report.read_text())
         # replayed training rows hit the duplicate short-circuit: exact fit
         assert payload["r2"] == 1.0 and payload["mse"] == 0.0 and payload["n"] == 30
+
+
+# ---------------------------------------------------------------- exit-code fuzz
+# Strategies are built once, at import: building them inside every draw
+# costs more than the runs they drive.
+
+
+@functools.lru_cache(maxsize=None)
+def _one_in(n: int):
+    """True about once in ``n`` draws. Hypothesis's own draws lean to the
+    ends of a range, so the odds come from a seeded ``random.Random``."""
+    return st.randoms(use_true_random=True).map(lambda r: r.random() < 1.0 / n)
+
+
+def _mostly(valid, invalid):
+    """Draws from ``valid`` about four times in five, else from ``invalid``."""
+    valid, invalid = st.sampled_from(valid), st.sampled_from(invalid)
+    return _one_in(5).flatmap(lambda odd: invalid if odd else valid)
+
+
+# JSON values of every kind a hand-edited file can hold
+_JSON_ODDITIES = [0, -1, 2.5, 1e308, 10**400, float("inf"), float("nan"), True, None,
+                  "1", "x", "", [], [1], {}]
+_TEXT = st.text(max_size=30)
+_UNIT_CELL = st.floats(0, 1).map(repr)
+_CELLS = st.one_of(
+    st.floats(-2, 2).map(repr),
+    st.sampled_from(["", "nan", "inf", "1e400", "abc", '"0.5"', " 0.3", "1,2", "\x00"]),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A small CSV: a generic table, a feature table, a near-miss of either, or any text."""
+    kind = draw(st.integers(0, 5))
+    if kind == 5:
+        return draw(_TEXT)
+    if kind == 4:
+        names = list(TABLE_COLUMNS)
+    else:
+        names = draw(st.sampled_from([["x1", "x2", "D"], ["x1", "D"], ["x1", "x2"],
+                                      ["x1", "x2", "prediction", "D"]]))
+        if kind == 3:
+            names = draw(st.lists(st.sampled_from(["x1", "x2", "D", "", "x 3"]),
+                                  min_size=1, max_size=4))
+    # a feature table's 531 cells a row come from numpy: drawing each is slow
+    wide = np.random.default_rng(draw(st.integers(0, 2**16))) if len(names) > 4 else None
+    rows = []
+    for _ in range(0 if draw(_one_in(8)) else draw(st.integers(1, 6))):
+        if wide is None:
+            row = [draw(_UNIT_CELL) for _ in names]
+        else:
+            row = [repr(v) for v in wide.uniform(0, 1, len(names))]
+        if draw(_one_in(4)):  # one bad or missing cell, or a ragged row
+            j = draw(st.integers(0, len(row)))
+            row[j:j + 1] = [draw(_CELLS)] if draw(st.booleans()) else []
+        rows.append(row)
+    lines = [",".join(names)] + [",".join(r) for r in rows]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+_SAMPLES = st.one_of(
+    st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+    st.lists(st.sampled_from([0.0, 1.0, 1e-200, 1e200, float("inf"), "a", None, [1.0]]),
+             max_size=4),
+)
+
+
+_ODD_JSON = st.sampled_from(_JSON_ODDITIES)
+_CHANNEL_ID = _mostly([1, 2, 252], [0, 253] + _JSON_ODDITIES)
+_RECORD_FIELDS = {
+    "coupon": _mostly(["c1"], ["c2", 7, None]),
+    "layup": _mostly([1, 2, 3], [4] + _JSON_ODDITIES),
+    "cycles": _mostly([0, 50, 100], [101] + _JSON_ODDITIES),
+    "condition": _mostly(["baseline", "clamped", "traction_free"],
+                         ["loaded", "LOADED", "bad", 3, None]),
+    "load": _mostly([0.0], [12.5] + _JSON_ODDITIES),
+}
+
+
+@st.composite
+def _record_lines(draw):
+    """One JSONL line: a record with some fields made odd, other JSON, or any text."""
+    kind = draw(st.integers(0, 7))
+    if kind == 7:
+        return draw(_TEXT).replace("\n", " ")
+    if kind == 6:
+        return json.dumps(draw(_ODD_JSON))
+    obj = {key: draw(values) for key, values in _RECORD_FIELDS.items()}
+    obj["channels"] = draw(_ODD_JSON) if draw(_one_in(5)) else [
+        {"id": draw(_CHANNEL_ID), "signal": draw(_SAMPLES), "baseline": draw(_SAMPLES)}
+        for _ in range(draw(st.integers(0, 3)))]
+    for key in list(obj):
+        if draw(_one_in(10)):
+            del obj[key]
+    return json.dumps(obj)
+
+
+_FILE_CONTENTS = st.fixed_dictionaries({
+    "table.csv": _csv_texts(),
+    "queries.csv": _csv_texts(),
+    "records.jsonl": st.lists(_record_lines(), max_size=3).map(lambda ls: "\n".join(ls) + "\n"),
+    "fc.json": _one_in(5).flatmap(lambda odd: st.text(max_size=20) if odd else (
+        st.dictionaries(st.sampled_from(["c1", "c2"]), _mostly([100, 1000], _JSON_ODDITIES),
+                        min_size=1, max_size=2).map(json.dumps))),
+    "config.json": st.one_of(
+        st.dictionaries(st.sampled_from(["train", "eval", "k", "seed", "parallel", "scaler",
+                                         "it_convergence", "threshold_filter", "e1", "lenient"]),
+                        _mostly(["2", 3, 0.5], _JSON_ODDITIES), max_size=2).map(json.dumps),
+        st.text(max_size=20)),
+})
+
+_IN = ["missing.csv", "."]
+_OUT = _mostly(["out.csv"], ["no_such_dir/out.csv", "."])
+_INTS = _mostly(["1", "2", "3", "5"], ["0", "-1", "x", "1.5", ""])
+_FLOATS = _mostly(["0.5", "2", "1e3"], ["0", "-1", "1e-300", "1e308", "nan", "inf", "abc"])
+_PARAMS = {
+    "--threshold-filter": _mostly(["0.01", "0.1"], ["0", "1", "nan", "x"]),
+    "--convergence-tolerance": _mostly(["0.01", "0.1"], ["0", "-1", "inf"]),
+    "--it-convergence": _mostly(["5", "20"], ["0", "-3", "2.5"]),
+    "--sweep-points": _mostly(["8", "64"], ["0", "1", "x"]),
+    "--max-minconvex-rounds": _mostly(["3", "20"], ["0", "-1"]),
+}
+# a toy always gets both sizes: the 500-point default takes seconds a run
+_TOY_SIZES = st.tuples(_mostly(["10", "20"], ["0", "-1", "x"]), _mostly(["2", "3"], ["0", "x"])
+                       ).map(lambda sizes: ["--train", sizes[0], "--eval", sizes[1]])
+_TOY = {"--seed": _INTS, "--k": _INTS, "--out-dir": _OUT,
+        "--parallel": _mostly(["1", "2"], ["0", "-2", "x"]), **_PARAMS}
+# each subcommand's leading arguments, then its flags with what each takes
+# (None: no value); required flags come first and are dropped one time in ten
+_COMMANDS = {
+    "toy-reg": ([_TOY_SIZES], {}, _TOY),
+    "toy-clf": ([_TOY_SIZES], {}, _TOY),
+    "clt": ([st.one_of(
+        st.sampled_from(["[0/90]S", "[90_2/45/-45]_2S", "[0]", "[]", "[0/90", "[0_0]", "[x]",
+                         "0/90", "[0/90]_3", "[45_3/-45]_2S", ""]),
+        st.text(max_size=12)).map(lambda layup: [layup])], {},
+        {"--e1": _FLOATS, "--e2": _FLOATS, "--nu12": _mostly(["0.3"], ["0.9", "-1", "x"]),
+         "--g12": _FLOATS, "--thickness": _FLOATS, "--out": _OUT}),
+    "features": ([_mostly(["records.jsonl"], _IN).map(lambda path: [path])],
+                 {"--failure-cycles": _mostly(["fc.json"], _IN), "--out": _OUT},
+                 {"--lenient": None}),
+    "predict": ([], {"--table": _mostly(["table.csv"], _IN),
+                     "--queries": _mostly(["queries.csv", "table.csv"], _IN), "--out": _OUT},
+                {"--scaler": _mostly(["minmax_pm1", "standard", "none"], ["bad"]),
+                 "--parallel": _mostly(["1", "2"], ["0", "-2", "x"]), **_PARAMS}),
+    "append": ([], {"--table": _mostly(["table.csv"], _IN),
+                    "--records": _mostly(["records.jsonl"], _IN),
+                    "--failure-cycles": _mostly(["fc.json"], _IN)},
+               {"--queries": _mostly(["queries.csv", "table.csv"], _IN),
+                "--predictions": _OUT, "--lenient": None,
+                "--scaler": _mostly(["minmax_pm1", "none"], ["bad"]), **_PARAMS}),
+    "eval": ([], {"--predictions": _mostly(["queries.csv", "table.csv"], _IN),
+                  "--truth": _mostly(["table.csv"], _IN)},
+             {"--pred-col": _mostly(["prediction", "D"], ["x1", "nope"]),
+              "--truth-col": _mostly(["D"], ["prediction", "nope"]), "--out": _OUT}),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    leading, required, optional = _COMMANDS[command]
+    argv = [command] + [token for tokens in leading for token in draw(tokens)]
+    for flags, dropped in ((required, _one_in(10)), (optional, st.booleans())):
+        for flag, values in flags.items():
+            if draw(dropped):
+                continue
+            argv += [flag] if values is None else [flag, draw(values)]
+    if draw(_one_in(5)):
+        argv = ["--config", draw(_mostly(["config.json"], _IN))] + argv
+    if draw(_one_in(10)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "-"])))
+    return argv
+
+
+def _run_in_tmp(argv, files):
+    """``main(argv)`` run in a fresh directory holding ``files``; (exit code, stderr)."""
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        err = io.StringIO()
+        os.chdir(tmp)  # relative paths, config-file ones included, stay inside tmp
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(here)
+    return code, err.getvalue()
+
+
+_RECORD = {"coupon": "c1", "layup": 1, "cycles": 0, "condition": "baseline",
+           "channels": [{"id": 1, "signal": [1.0, 2.0, 1.5], "baseline": [1.0, 1.5, 2.0]}]}
+_FEATURES = ["features", "records.jsonl", "--failure-cycles", "fc.json", "--out", "out.csv"]
+_TOY_RUN = ["toy-reg", "--train", "10", "--eval", "2", "--out-dir", "toy"]
+
+
+class TestExitCodeContract:
+    """Every run exits 0, 1 (runtime failure) or 2 (usage or validation error),
+    with its message on standard error, and never escapes ``main`` with an
+    exception."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(argv=_argvs(), files=_FILE_CONTENTS)
+    def test_any_arguments_and_file_contents_give_a_contract_exit_code(self, argv, files):
+        code, err = _run_in_tmp(argv, files)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            assert err.startswith("error: "), (argv, err)
+        elif code == 2:
+            assert "usage" in err, (argv, err)
+
+    # inputs that once escaped main with an exception
+
+    @pytest.mark.parametrize("record", [
+        {**_RECORD, "cycles": float("inf")},   # JSON Infinity as an integer
+        {**_RECORD, "load": 10**400},          # an integer too large for a float
+        {**_RECORD, "channels": [{**_RECORD["channels"][0], "id": float("inf")}]},
+    ])
+    def test_unconvertible_record_numbers_are_malformed_records(self, record):
+        code, err = _run_in_tmp(_FEATURES, {"records.jsonl": json.dumps(record) + "\n",
+                                            "fc.json": '{"c1": 100}'})
+        assert code == 1 and "malformed record" in err
+
+    def test_huge_failure_cycle_count_gives_its_damage_fraction(self):
+        code, err = _run_in_tmp(_FEATURES, {"records.jsonl": json.dumps(_RECORD) + "\n",
+                                            "fc.json": json.dumps({"c1": 10**400})})
+        assert code == 0, err
+
+    # far past the cap, so a run the check misses fails inside numpy rather than running
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--train", str(10**30)],
+                                       ["--eval", str(10**30)]])
+    def test_out_of_range_toy_flags_are_usage_errors(self, flags):
+        code, err = _run_in_tmp(_TOY_RUN + flags, {})
+        assert code == 2 and flags[0] in err
+
+    @pytest.mark.parametrize("config", [{"seed": 2.5}, {"seed": -1}, {"k": [2]},
+                                        {"threshold_filter": "x"}])
+    def test_config_values_are_checked_as_flag_values(self, config):
+        code, err = _run_in_tmp(["--config", "cfg.json"] + _TOY_RUN,
+                                {"cfg.json": json.dumps(config)})
+        assert code == 2 and "usage" in err
+
+    def test_config_values_of_the_flags_types_still_apply(self):
+        config = {"seed": 3, "k": 2, "threshold_filter": 0.05, "parallel": None}
+        args = build_parser(config).parse_args(_TOY_RUN)
+        assert (args.seed, args.k, args.threshold_filter, args.parallel) == (3, 2, 0.05, None)
+        assert build_parser({"lenient": 0}).parse_args(_FEATURES).lenient == 0

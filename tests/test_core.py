@@ -644,6 +644,71 @@ class TestPreparedNeighborhood:
             assert a.extrapolated == b.extrapolated
 
 
+def _all_sweeps_bound(kmat: np.ndarray, sweeps: int = 16) -> float:
+    # the power iteration of ``_spectral_bound`` without its fixed-point exit
+    v = np.ones(kmat.shape[1]) / math.sqrt(kmat.shape[1])
+    lam = None
+    for _ in range(sweeps):
+        w = kmat.T @ (kmat @ v)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            break
+        lam = norm / float(np.linalg.norm(v))
+        v = w / norm
+    if lam is None:
+        lam = float(np.sum(kmat * kmat))  # Frobenius fallback
+    return 1.05 * lam
+
+
+def _operators(k: int):
+    """Prepared ``[X^T; 1]`` operators of k rows: spread, tightly clustered and all-zero."""
+    rng = np.random.default_rng(k)
+    for d in (1, 3, 530):
+        rows = rng.uniform(-1, 1, (k, d))
+        tight = rows[:1] + 1e-6 * rng.normal(size=(k, d))
+        for r in (rows, tight):
+            yield np.vstack([r.T, np.ones((1, k))])
+    yield np.zeros((4, k))
+
+
+class TestSpectralBound:
+    """The power iteration stops once a sweep maps its vector onto itself."""
+
+    @staticmethod
+    def _counting_sweeps(monkeypatch):
+        # every sweep that does not meet a zero vector takes two norms
+        norms = []
+        real = np.linalg.norm
+
+        def counting(x, *args, **kwargs):
+            norms.append(1)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        return lambda: len(norms) // 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 40])
+    def test_bound_equals_all_sixteen_sweeps_bit_for_bit(self, k):
+        for kmat in _operators(k):
+            assert _spectral_bound(kmat) == _all_sweeps_bound(kmat)
+
+    def test_sweeps_stop_at_a_fixed_point(self, monkeypatch):
+        sweeps = self._counting_sweeps(monkeypatch)
+        counts = {}
+        for k in (1, 2, 40):
+            counts[k] = []
+            for kmat in list(_operators(k))[:-1]:  # not the all-zero operator
+                start = sweeps()
+                _spectral_bound(kmat)
+                counts[k].append(sweeps() - start)
+        # one neighbor: the first normalized sweep gives back v = [1.0]
+        assert counts[1] == [1] * 6
+        # tight clusters settle within a few sweeps, spread rows run all 16
+        for k in (2, 40):
+            assert 16 in counts[k]
+            assert min(counts[k]) < 16
+
+
 class TestPredictRegression:
     def test_single_label(self):
         assert predict_regression([1.0], [0.7]) == pytest.approx(0.7)

@@ -161,6 +161,114 @@ class TestBuildFeatureRow:
         with pytest.raises(InvalidInputError):
             build_feature_row(record, failure_cycles=FAILURE_CYCLES)
 
+    def test_channel_freezes_a_view_not_the_callers_array(self):
+        signal, baseline = np.linspace(0.0, 1.0, 8), np.linspace(1.0, 2.0, 8)
+        ch = ChannelMeasurement(1, signal, baseline)
+        assert signal.flags.writeable and baseline.flags.writeable
+        assert not ch.signal.flags.writeable and not ch.baseline.flags.writeable
+        with pytest.raises(ValueError):
+            ch.signal[0] = 1.0
+        # a view, not a copy: records sharing a baseline keep sharing its memory
+        assert np.shares_memory(ch.signal, signal) and np.shares_memory(ch.baseline, baseline)
+
+
+def _per_channel_reference(channels) -> np.ndarray:
+    """The 504 channel cells from the 1-D public calls, NaN where they raise."""
+    expected = np.full(2 * N_CHANNELS, np.nan)
+    for ch in channels:
+        for offset, fn in ((0, power_ratio), (N_CHANNELS, correlation_coefficient)):
+            try:
+                expected[offset + ch.channel_id - 1] = fn(ch.signal, ch.baseline)
+            except DegenerateBaselineError:
+                pass
+    return expected
+
+
+def _channel_cells(channels) -> np.ndarray:
+    record = MeasurementRecord("L1S11", 1, 5000, Condition.CLAMPED, channels=tuple(channels))
+    return build_feature_row(record, failure_cycles=FAILURE_CYCLES)[0][: 2 * N_CHANNELS]
+
+
+class TestChannelKernel:
+    """``build_feature_row`` computes both features of a sample count in one kernel call."""
+
+    def test_partial_block_stack_matches_one_dimensional_calls_bit_for_bit(self):
+        # 251 rows of 256 samples: 7 blocks of 32 rows and one of 27
+        rng = np.random.default_rng(251)
+        baselines = rng.normal(size=(251, 256))
+        channels = [ChannelMeasurement(i + 1, 0.8 * b + 0.3 * rng.normal(size=256), b)
+                    for i, b in enumerate(baselines)]
+        cells = _channel_cells(channels)
+        assert not np.isnan(cells[:251]).any() and np.isnan(cells[251])
+        assert np.array_equal(cells, _per_channel_reference(channels), equal_nan=True)
+
+    def test_degenerate_and_tiny_channels_of_two_lengths_match_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        channels = []
+        for i in range(120):
+            n = 256 if i % 3 else 100
+            signal, baseline = rng.normal(1.0, 2.0, n), rng.normal(-0.5, 1.0, n)
+            kind = i % 8
+            if kind == 1:
+                baseline = np.zeros(n)                          # dead baseline
+            elif kind == 2:
+                signal = np.full(n, 0.75)                       # constant signal
+            elif kind == 3:
+                signal = np.zeros(n)                            # all-zero signal
+            elif kind == 4:
+                signal, baseline = signal * 1e-100, baseline * 1e-100  # variance product underflows
+            channels.append(ChannelMeasurement(2 * i + 1, signal, baseline))
+        cells = _channel_cells(channels)
+        expected = _per_channel_reference(channels)
+        assert np.array_equal(cells, expected, equal_nan=True)
+        # each kind of degenerate channel gives the missing cells it should
+        assert np.isnan(cells[[2, N_CHANNELS + 2]]).all()              # dead baseline
+        assert not np.isnan(cells[4]) and np.isnan(cells[N_CHANNELS + 4])  # constant
+        assert cells[6] == 0.0 and np.isnan(cells[N_CHANNELS + 6])        # all-zero
+        assert not np.isnan(cells[[8, N_CHANNELS + 8]]).any()            # tiny amplitudes
+
+    def test_one_kernel_call_per_sample_count(self, monkeypatch):
+        calls = []
+        real = maxentnn.pipeline._channel_features
+
+        def counting(signals, baselines):
+            calls.append({len(s) for s in signals} | {len(b) for b in baselines})
+            return real(signals, baselines)
+
+        monkeypatch.setattr(maxentnn.pipeline, "_channel_features", counting)
+        lengths = (16, 40, 16, 7, 40, 16)
+        channels = [_channel(i + 1, baseline=np.random.default_rng(i).normal(size=n))
+                    for i, n in enumerate(lengths)]
+        _channel_cells(channels)
+        assert calls == [{16}, {40}, {7}]
+        calls.clear()
+        _channel_cells(channels[:1])
+        _channel_cells([])
+        assert calls == [{16}]
+
+    def test_samples_changed_after_construction_are_still_checked(self):
+        # the caller's arrays stay writeable, so a record can go bad after it is built
+        signal, baseline = np.linspace(0.0, 1.0, 64), np.linspace(1.0, 2.0, 64)
+        channels = [ChannelMeasurement(1, signal, baseline), _channel(2)]
+        signal[3] = np.nan
+        with pytest.raises(InvalidInputError, match="signal"):
+            _channel_cells(channels)
+        baseline[5] = np.inf
+        # centring a row with an infinite sample gives NaN before the check rejects it
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidInputError, match="baseline"):
+            _channel_cells(channels)
+
+    def test_overflowing_finite_samples_are_not_rejected(self):
+        # squares of finite samples can overflow, so an infinite power alone is no error
+        rng = np.random.default_rng(5)
+        channels = [ChannelMeasurement(1, rng.normal(size=16) * 1e200, rng.normal(size=16)),
+                    ChannelMeasurement(2, rng.normal(size=16), rng.normal(size=16) * 1e200)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = _channel_cells(channels)
+            expected = _per_channel_reference(channels)
+        assert cells[0] == np.inf and cells[1] == 0.0
+        assert np.array_equal(cells, expected, equal_nan=True)
+
 
 class TestRecordIO:
     def test_round_trip(self, tmp_path):

@@ -127,6 +127,24 @@ def _row_by_row(fn, signals, baselines):
     return np.array([fn(s, b) for s, b in zip(signals, baselines)])
 
 
+def _numpy_mean_features(x, y):
+    # np.mean's own reductions: the kernel must give these bits
+    ratio = np.mean(x * x) / np.mean(y * y)
+    dx, dy = x - x.mean(), y - y.mean()
+    var_x, var_y = np.mean(dx * dx), np.mean(dy * dy)
+    product = var_x * var_y
+    scale = np.sqrt(var_x) * np.sqrt(var_y) if product < np.finfo(float).tiny else np.sqrt(product)
+    return ratio, float(np.clip(np.mean(dx * dy) / scale, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", STACK_LENGTHS)
+def test_one_dimensional_calls_equal_numpy_mean_bit_for_bit(n):
+    rng = np.random.default_rng(2000 + n)
+    for scale in (1.0, 1e-100):
+        x, y = scale * rng.normal(1.5, 2.0, n), scale * rng.normal(-0.5, 1.0, n)
+        assert (power_ratio(x, y), correlation_coefficient(x, y)) == _numpy_mean_features(x, y)
+
+
 class TestStackedInputs:
     @pytest.mark.parametrize("n", STACK_LENGTHS)
     def test_stack_equals_one_dimensional_calls_bit_for_bit(self, n):
