@@ -380,10 +380,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
             child.set_defaults(**defaults)
             # argparse converts only string defaults, so a flag that takes a
             # value gets the text a command line would give it, and its type
-            # check with that; null leaves the flag unset
+            # check with that; null leaves the flag unset. argparse never
+            # checks a default against the flag's choices, so that is done here
             for action in child._actions:
                 if action.dest in defaults and action.nargs != 0 and action.default is not None:
                     action.default = str(action.default)
+                    if action.choices is not None and action.default not in map(str, action.choices):
+                        raise _UsageError(
+                            f"config value for {action.option_strings[0]}: invalid choice "
+                            f"{action.default!r} (choose from {', '.join(map(str, action.choices))})")
     return parser
 
 

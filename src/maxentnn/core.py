@@ -418,7 +418,13 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     One iteration is an accelerated projected gradient step on
     0.5 * ||K u - b||^2: a gradient step of size 1/L (L estimated by power
     iteration), clamping negatives to zero, plus a momentum extrapolation
-    that is dropped whenever the objective rises. Momentum matters: the
+    that is dropped whenever the objective rises. The extrapolated point
+    ``z = c + beta (c - u)`` is linear in the new and the last iterate, so
+    its residual ``K z - b`` is formed from their two residuals, already
+    computed, as ``r_c + beta (r_c - r_u)``. That residual differs from a
+    fresh product by rounding only, and ``r_c`` and every test read fresh
+    products, so the rounding does not build up; an iteration without a
+    restart makes two products with K, not three. Momentum matters: the
     augmented system is ill-conditioned when the retained neighbors cluster
     tightly around the query, and an unaccelerated step cannot reach the
     tolerance within the iteration budget there.
@@ -438,8 +444,8 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     certified unconvergeable and stops there, unconverged and
     ``extrapolated``. Each iteration runs the convergence test first, then
     this check. So ``it_convergence`` also sets how often the bound is
-    checked: each check costs one more ``K^T r`` product, about a third of
-    an iteration, which at ``it_convergence = 1`` every iteration of a
+    checked: each check costs one more ``K^T r`` product, about half an
+    iteration, which at ``it_convergence = 1`` every iteration of a
     solve that does not converge pays; a larger value delays certified
     stops to its next multiple.
 
@@ -540,7 +546,7 @@ def _iterate(kmat: np.ndarray, step: float, q: np.ndarray, u0: np.ndarray,
         momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         beta = (momentum - 1.0) / momentum_next
         z = candidate + beta * (candidate - u)
-        rz = kmat @ z - b
+        rz = r_new + beta * (r_new - r)  # K z - b, see the docstring
         u, r, objective, momentum = candidate, r_new, obj_new, momentum_next
 
         head = r[:-1]

@@ -22,6 +22,7 @@ __all__ = [
     "STANDARD_LAYUP_NOTATIONS",
     "standard_layups",
     "parse_layup",
+    "MAX_PLIES",
     "ply_stiffness_q12",
     "rotate_to_laminate_axes",
     "abd_matrices",
@@ -96,6 +97,9 @@ class ABDMatrices:
 _TOKEN_RE = re.compile(r"(-?\d+(?:\.\d+)?)(?:_(\d+))?")
 _SUFFIX_RE = re.compile(r"_?(\d+)?([Ss])?")
 
+# Most plies a notation may expand to; coupon laminates have tens of plies.
+MAX_PLIES = 10_000
+
 
 def parse_layup(text: str, ply: PlyProperties = T700_PLY, name: str = "") -> Layup:
     """Parse stacking notation like ``[90_2/45/-45]_2S`` into a Layup.
@@ -103,7 +107,9 @@ def parse_layup(text: str, ply: PlyProperties = T700_PLY, name: str = "") -> Lay
     Grammar: ``'[' angle('_'count)? ('/' angle('_'count)?)* ']' '_'? count? 'S'?``.
     ``_count`` after an angle repeats that ply, a count in the suffix repeats
     the whole group, and a trailing ``S`` mirrors the stack to make it
-    symmetric. Whitespace is not allowed inside the brackets.
+    symmetric. Whitespace is not allowed inside the brackets. A notation
+    that expands to more than ``MAX_PLIES`` plies is rejected before any
+    ply list is built.
     """
     s = text.strip()
     if not s.startswith("["):
@@ -115,7 +121,7 @@ def parse_layup(text: str, ply: PlyProperties = T700_PLY, name: str = "") -> Lay
     if not body:
         raise LayupParseError("empty layup", 1)
 
-    angles: list[float] = []
+    group: list[tuple[float, int]] = []
     pos = 1
     for token in body.split("/"):
         m = _TOKEN_RE.fullmatch(token)
@@ -124,16 +130,20 @@ def parse_layup(text: str, ply: PlyProperties = T700_PLY, name: str = "") -> Lay
         repeat = int(m.group(2)) if m.group(2) else 1
         if repeat < 1:
             raise LayupParseError(f"ply repeat count must be >= 1 in {token!r}", pos)
-        angles.extend([float(m.group(1))] * repeat)
+        group.append((float(m.group(1)), repeat))
         pos += len(token) + 1
 
     suffix = s[close + 1 :]
     m = _SUFFIX_RE.fullmatch(suffix)
     if m is None:
         raise LayupParseError(f"bad layup suffix {suffix!r}", close + 1)
-    if m.group(1):
-        angles = angles * int(m.group(1))
-    if m.group(2):
+    copies = int(m.group(1)) if m.group(1) else 1
+    mirrored = m.group(2) is not None
+    n_plies = sum(repeat for _, repeat in group) * copies * (2 if mirrored else 1)
+    if n_plies > MAX_PLIES:
+        raise LayupParseError(f"layup expands to {n_plies} plies, more than {MAX_PLIES}", 0)
+    angles = [angle for angle, repeat in group for _ in range(repeat)] * copies
+    if mirrored:
         angles = angles + angles[::-1]
     return Layup(tuple(angles), ply, name or s)
 

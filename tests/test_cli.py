@@ -667,12 +667,26 @@ class TestExitCodeContract:
         code, err = _run_in_tmp(_TOY_RUN + flags, {})
         assert code == 2 and flags[0] in err
 
+    def test_layup_past_the_ply_cap_is_a_usage_error(self):
+        code, err = _run_in_tmp(["clt", f"[0_{10**30}]"], {})
+        assert code == 2 and "usage" in err and "plies" in err
+
     @pytest.mark.parametrize("config", [{"seed": 2.5}, {"seed": -1}, {"k": [2]},
                                         {"threshold_filter": "x"}])
     def test_config_values_are_checked_as_flag_values(self, config):
         code, err = _run_in_tmp(["--config", "cfg.json"] + _TOY_RUN,
                                 {"cfg.json": json.dumps(config)})
         assert code == 2 and "usage" in err
+
+    def test_config_value_outside_the_flags_choices_is_a_usage_error(self):
+        predict = ["predict", "--table", "t.csv", "--queries", "t.csv", "--out", "out.csv"]
+        files = {"t.csv": "x1,D\n0.1,0.2\n0.5,0.4\n", "cfg.json": json.dumps({"scaler": "bad"})}
+        code, err = _run_in_tmp(["--config", "cfg.json"] + predict, files)
+        assert code == 2 and "usage" in err and "--scaler" in err and "'bad'" in err
+        assert _run_in_tmp(predict + ["--scaler", "bad"], files)[0] == 2
+        files["cfg.json"] = json.dumps({"scaler": "standard"})
+        assert _run_in_tmp(["--config", "cfg.json"] + predict, files)[0] == 0
+        assert build_parser({"scaler": "none"}).parse_args(predict).scaler == "none"
 
     def test_config_values_of_the_flags_types_still_apply(self):
         config = {"seed": 3, "k": 2, "threshold_filter": 0.05, "parallel": None}

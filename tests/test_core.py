@@ -266,12 +266,15 @@ class TestSolveWeights:
             solve_weights(np.zeros((0, 2)), [0.0, 0.0], np.array([]), MaxEntParams())
 
 
-def _full_loop_solve(pts, q, u0, params: MaxEntParams) -> WeightSolution:
+def _full_loop_solve(pts, q, u0, params: MaxEntParams, fresh_residual: bool = False) -> WeightSolution:
     """The weight solve as specified: every iteration up to the caps is run.
 
     A copy of ``solve_weights``' loop, with its convergence test and its
     duality-bound check but without the exit at an exact fixed point; the
-    tests below hold the solver to it bit for bit.
+    tests below hold the solver to it bit for bit. ``fresh_residual``
+    computes the residual at the extrapolated point as the product
+    ``K z - b`` instead of from the two residuals already at hand, the same
+    value up to rounding.
     """
     pts = np.asarray(pts, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -315,7 +318,7 @@ def _full_loop_solve(pts, q, u0, params: MaxEntParams) -> WeightSolution:
         momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
         beta = (momentum - 1.0) / momentum_next
         z = candidate + beta * (candidate - u)
-        rz = kmat @ z - b
+        rz = kmat @ z - b if fresh_residual else r_new + beta * (r_new - r)
         u, r, objective, momentum = candidate, r_new, obj_new, momentum_next
 
         head = r[:-1]
@@ -334,6 +337,27 @@ def _full_loop_solve(pts, q, u0, params: MaxEntParams) -> WeightSolution:
                 break
 
     return WeightSolution(u, residual, gap, iterations, converged, extrapolated)
+
+
+def _random_problems(k: int):
+    """24 seeded solves over k rows: near a row, inside the rows, anywhere."""
+    rng = np.random.default_rng(100 + k)
+    for trial in range(24):
+        d = int(rng.integers(1, 5))
+        pts = rng.uniform(-1, 1, (k, d))
+        if trial % 3 == 0:
+            q = pts[0] + rng.normal(scale=10.0 ** rng.uniform(-6, -2), size=d)
+        elif trial % 3 == 1:
+            q = pts.mean(axis=0) + rng.normal(scale=0.1, size=d)
+        else:
+            q = rng.uniform(-2, 2, d)
+        u0 = rng.uniform(0.01, 1.0, k)
+        params = MaxEntParams(
+            it_convergence=int(rng.integers(1, 40)),
+            it_local_min=int(rng.integers(1, 150)),
+            convergence_tolerance=float(10.0 ** rng.uniform(-4, -1)),
+        )
+        yield pts, q, u0, params
 
 
 class _StepCounter:
@@ -424,22 +448,7 @@ class TestFixedPointExit:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_random_problems_match_the_full_loop(self, k):
-        rng = np.random.default_rng(100 + k)
-        for trial in range(24):
-            d = int(rng.integers(1, 5))
-            pts = rng.uniform(-1, 1, (k, d))
-            if trial % 3 == 0:
-                q = pts[0] + rng.normal(scale=10.0 ** rng.uniform(-6, -2), size=d)
-            elif trial % 3 == 1:
-                q = pts.mean(axis=0) + rng.normal(scale=0.1, size=d)
-            else:
-                q = rng.uniform(-2, 2, d)
-            u0 = rng.uniform(0.01, 1.0, k)
-            params = MaxEntParams(
-                it_convergence=int(rng.integers(1, 40)),
-                it_local_min=int(rng.integers(1, 150)),
-                convergence_tolerance=float(10.0 ** rng.uniform(-4, -1)),
-            )
+        for pts, q, u0, params in _random_problems(k):
             self._assert_same(solve_weights(pts, q, u0, params), _full_loop_solve(pts, q, u0, params))
 
     def test_fixed_point_under_tolerance_converges_after_it_convergence(self, monkeypatch):
@@ -463,6 +472,49 @@ class TestFixedPointExit:
         # the full loop converges only if it runs past it_convergence
         assert sol.converged == (it_local_min >= 30)
         assert sol.iterations == (31 if it_local_min >= 30 else it_local_min + 1)
+
+
+class TestResidualUpdate:
+    """``K z - b`` formed from two residuals differs from the product by rounding only."""
+
+    @staticmethod
+    def _assert_close(sol: WeightSolution, ref: WeightSolution, atol: float = 1e-12):
+        assert (sol.iterations, sol.converged, sol.extrapolated) == (ref.iterations, ref.converged, ref.extrapolated)
+        np.testing.assert_allclose(sol.weights, ref.weights, rtol=0.0, atol=atol)
+        assert sol.residual_error + sol.weight_sum_gap == pytest.approx(
+            ref.residual_error + ref.weight_sum_gap, rel=0.0, abs=atol)
+
+    def test_capped_and_restarting_solves_match_fresh_products(self, monkeypatch):
+        # tightly clustered neighbors around a query inside their hull: the
+        # solve cannot be certified, restarts, and runs to the iteration cap
+        params = MaxEntParams(convergence_tolerance=1e-10)
+        capped = restarted = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            k, d = int(rng.integers(3, 9)), int(rng.integers(2, 4))
+            pts = rng.uniform(-1, 1, d) + rng.normal(scale=10.0 ** rng.uniform(-3, -1), size=(k, d))
+            q = rng.dirichlet(np.ones(k)) @ pts
+            u0 = rng.uniform(0.01, 1.0, k)
+            counter = _StepCounter()
+            with monkeypatch.context() as m:
+                m.setattr(maxentnn.core, "np", counter)
+                sol = solve_weights(pts, q, u0, params)
+            self._assert_close(sol, _full_loop_solve(pts, q, u0, params, fresh_residual=True))
+            capped += sol.iterations == params.it_local_min + 1
+            # each restart takes a second projected step in its iteration
+            restarted += counter.steps > sol.iterations
+        assert capped >= 6 and restarted >= 6
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_random_problems_take_the_same_exits(self, k):
+        # Outside the hull the solve can stall at the objective's rounding
+        # floor before its bound check, where a restart test compares equal
+        # objectives and either path may restart: the weights then agree only
+        # to about sqrt(eps), the minimum's flatness, while the exit and the
+        # error agree to rounding.
+        for pts, q, u0, params in _random_problems(k):
+            self._assert_close(solve_weights(pts, q, u0, params),
+                               _full_loop_solve(pts, q, u0, params, fresh_residual=True), atol=1e-8)
 
 
 class TestCertifiedStop:

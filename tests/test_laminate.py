@@ -18,7 +18,7 @@ from maxentnn import (
     standard_layups,
     stiffness_feature_row,
 )
-from maxentnn.laminate import STANDARD_LAYUP_NOTATIONS, STIFFNESS_COLUMNS
+from maxentnn.laminate import MAX_PLIES, STANDARD_LAYUP_NOTATIONS, STIFFNESS_COLUMNS
 
 
 def rotate_stiffness_tensor(q: np.ndarray, angle_deg: float) -> np.ndarray:
@@ -269,3 +269,22 @@ class TestLayupParser:
     def test_missing_bracket(self):
         with pytest.raises(LayupParseError):
             parse_layup("0/90")
+
+    def test_ply_count_at_the_cap_parses(self):
+        assert parse_layup(f"[0_{MAX_PLIES // 4}/90_{MAX_PLIES // 4}]S").n_plies == MAX_PLIES
+
+    # the count is known before a ply list is built: the first notations go
+    # past the cap through the ply repeat, the mirror, the group count and all
+    # three, and a list of the huge counts' size could not even be requested
+    @pytest.mark.parametrize("notation", [
+        f"[0_{MAX_PLIES + 1}]",
+        f"[0_{MAX_PLIES // 2}/90]S",
+        f"[0/90]_{MAX_PLIES // 2 + 1}",
+        f"[0_2/90]_{MAX_PLIES // 6 + 1}S",
+        f"[0_{10**30}]",
+        f"[0]_{10**30}",
+        f"[0_{10**15}/90]_{10**15}S",
+    ])
+    def test_too_many_plies_is_a_parse_error(self, notation):
+        with pytest.raises(LayupParseError, match="plies"):
+            parse_layup(notation)
