@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import MaxEntParams, Prediction, predict_batch
 from .errors import IngestionError, LayupParseError, MaxentError, ParameterError
-from .evaluation import ToySpec, metrics, run_toy_experiment
+from .evaluation import ToySpec, _format_cell, metrics, run_toy_experiment
 from .laminate import (
     PlyProperties,
     T700_PLY,
@@ -67,15 +68,6 @@ def _parallelism(args) -> int:
 
 def _scaler_kind(args) -> str | None:
     return None if args.scaler == "none" else args.scaler
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        # cast keeps numpy scalars from printing their type name
-        return repr(float(value))
-    return str(value)
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -204,10 +196,10 @@ def _serve(store, queries, workers, path) -> int:
             if isinstance(res, Prediction):
                 d = res.diagnostics()
                 writer.writerow([
-                    i, _fmt(float(np.asarray(res.value).ravel()[0])),
-                    d["n_neighbors"], _fmt(d["h_star"]), d["exit_reason"],
-                    d["iterations"], _fmt(d["residual_error"]),
-                    _fmt(d["weight_sum_gap"]), d["rounds"], "",
+                    i, _format_cell(float(np.asarray(res.value).ravel()[0])),
+                    d["n_neighbors"], _format_cell(d["h_star"]), d["exit_reason"],
+                    d["iterations"], _format_cell(d["residual_error"]),
+                    _format_cell(d["weight_sum_gap"]), d["rounds"], "",
                 ])
             else:
                 writer.writerow([i, "", "", "", "", "", "", "", "",
@@ -264,11 +256,15 @@ def _read_column(path: str, column: str) -> np.ndarray:
             if j >= len(cells):
                 raise MaxentError(f"{path}:{lineno}: row has no {column!r} cell")
             try:
-                values.append(float(cells[j]))
+                value = float(cells[j])
             except ValueError:
                 raise MaxentError(
                     f"{path}:{lineno}: non-numeric {column!r} value {cells[j]!r}"
                 ) from None
+            # NaN or infinity would turn the report into invalid JSON
+            if not math.isfinite(value):
+                raise MaxentError(f"{path}:{lineno}: non-finite {column!r} value {cells[j]!r}")
+            values.append(value)
     return np.array(values)
 
 

@@ -207,10 +207,12 @@ class ToyExperimentResult:
 
 
 def _format_cell(value) -> str:
+    """A CSV cell: empty for None, a float's shortest round-trip repr."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        # cast keeps numpy scalars from printing their type name
+        return repr(float(value))
     return str(value)
 
 

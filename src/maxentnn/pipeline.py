@@ -120,12 +120,16 @@ class MeasurementRecord:
         object.__setattr__(self, "channels", tuple(self.channels))
 
 
+# layup ids with a one-hot column; a custom catalog may hold no other id
+_LAYUP_IDS = (1, 2, 3)
+
+
 def _build_columns() -> tuple:
     cols = [f"pw_c{i}" for i in range(1, N_CHANNELS + 1)]
     cols += [f"cc_c{i}" for i in range(1, N_CHANNELS + 1)]
     cols += list(STIFFNESS_COLUMNS)
     cols += [f"condition_{i}" for i in range(4)]
-    cols += [f"layup_{i}" for i in (1, 2, 3)]
+    cols += [f"layup_{i}" for i in _LAYUP_IDS]
     cols.append("load")
     return tuple(cols)
 
@@ -151,8 +155,9 @@ def _stiffness_row(layup) -> np.ndarray:
 def build_feature_row(record, layups=None, failure_cycles=None):
     """Turn one record into (features, mask, target).
 
-    ``layups`` maps layup id -> Layup (defaults to the three coupon stacks)
-    and ``failure_cycles`` maps coupon id -> cycles at failure. Returns the
+    ``layups`` maps layup id -> Layup (defaults to the three coupon stacks;
+    a record's id must lie in 1..3, the one-hot layup columns) and
+    ``failure_cycles`` maps coupon id -> cycles at failure. Returns the
     530-wide feature vector, whose missing cells (absent channels, dead
     baselines) are NaN, the boolean mask ``np.isnan(features)`` and the
     damage-fraction target.
@@ -163,6 +168,8 @@ def build_feature_row(record, layups=None, failure_cycles=None):
         raise IngestionError(f"unknown coupon {record.coupon_id!r}: no failure cycle count")
     if record.layup_id not in layups:
         raise IngestionError(f"unknown layup id {record.layup_id!r}")
+    if record.layup_id not in _LAYUP_IDS:
+        raise IngestionError(f"layup id {record.layup_id!r} has no one-hot column (ids 1..3)")
 
     # absent channels and dead baselines stay NaN
     features = np.full(_N_FEATURES, np.nan)

@@ -5,12 +5,12 @@ against the pristine baseline taken at zero cycles. Two per-channel features
 capture that: the power ratio and Pearson's correlation against the baseline.
 The target quantity is the cumulative damage fraction n/N.
 
-Every reduction goes through ``_row_means``: one pass over blocks of rows
-that gives, per row, the mean squares and the Pearson terms, each as
-``np.mean`` would compute it. ``_channel_features``, the per-record kernel
-of the feature step, takes both features of a group of channels from one
-such pass; ``power_ratio`` and ``correlation_coefficient`` take theirs from
-the same reductions, so a channel has the same bits either way.
+``power_ratio`` and ``correlation_coefficient`` take one channel: two 1-D
+sample arrays. Batching is private: ``_channel_features``, the per-record
+kernel behind ``pipeline.build_feature_row``, takes both features of a
+group of channels in one pass. Every reduction goes through ``_row_means``,
+which gives, per row, the mean squares and the Pearson terms, each as
+``np.mean`` would compute it, so a channel has the same bits either way.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ __all__ = [
 
 def _as_signal(samples, name: str) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
-    if x.ndim == 0 or x.shape[-1] == 0:
-        raise InvalidInputError(f"{name} must be a nonempty (..., n) sample array")
+    if x.ndim != 1 or x.size == 0:
+        raise InvalidInputError(f"{name} must be a nonempty 1-D sample array")
     return x
 
 
@@ -92,12 +92,11 @@ def _row_means(n: int, *stacks) -> np.ndarray:
     return np.true_divide(sums, n, out=sums)
 
 
-def _mean_square(x: np.ndarray, name: str) -> np.ndarray:
-    """``mean(x²)`` along the last axis of a ``(..., n)`` array of finite samples."""
-    rows = x.reshape(-1, x.shape[-1])
-    power = _row_means(x.shape[-1], rows)[0]
-    _require_finite(power, rows, name)
-    return power.reshape(x.shape[:-1])
+def _mean_square(x: np.ndarray, name: str) -> float:
+    """``mean(x²)`` of a 1-D array of finite samples."""
+    power = _row_means(x.size, [x])[0]
+    _require_finite(power, [x], name)
+    return power[0]
 
 
 def _ratio(p_signal, p_base):
@@ -115,15 +114,6 @@ def _correlation(var_x, var_y, cov):
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.clip(cov / scale, -1.0, 1.0)
     return r, (var_x == 0.0) | (var_y == 0.0)
-
-
-def _pair_or_stack(values: np.ndarray, degenerate: np.ndarray, message: str):
-    """A float for one pair, raising on a degenerate one; else NaN where degenerate."""
-    if values.ndim == 0:
-        if degenerate:
-            raise DegenerateBaselineError(message)
-        return float(values)
-    return np.where(degenerate, np.nan, values)
 
 
 def _channel_features(signals, baselines) -> tuple[np.ndarray, np.ndarray]:
@@ -145,45 +135,38 @@ def _channel_features(signals, baselines) -> tuple[np.ndarray, np.ndarray]:
     return np.where(dead, np.nan, ratio), np.where(flat, np.nan, r)
 
 
-def power_ratio(signal, baseline) -> float | np.ndarray:
-    """Signal power divided by baseline power, along the last axis.
+def power_ratio(signal, baseline) -> float:
+    """Signal power divided by baseline power, for two 1-D sample arrays.
 
     A signal's power is its mean squared amplitude; the signal and the
     baseline may differ in length. The baseline is checked before the
-    signal. For two 1-D arrays the result is a float, and a zero baseline
-    power raises DegenerateBaselineError. Stacked ``(..., n)`` inputs
-    broadcast over their leading axes and give an array that is NaN wherever
-    the baseline power is zero.
+    signal, and a zero baseline power raises DegenerateBaselineError.
     """
     p_base = _mean_square(_as_signal(baseline, "baseline"), "baseline")
-    if p_base.ndim == 0 and np.ndim(signal) <= 1 and p_base == 0.0:
+    if p_base == 0.0:
         raise DegenerateBaselineError("baseline power is zero")
     p_signal = _mean_square(_as_signal(signal, "signal"), "signal")
-    return _pair_or_stack(*_ratio(p_signal, p_base), "baseline power is zero")
+    ratio, _ = _ratio(p_signal, p_base)
+    return float(ratio)
 
 
-def correlation_coefficient(signal, baseline) -> float | np.ndarray:
+def correlation_coefficient(signal, baseline) -> float:
     """Pearson correlation between a measurement and its baseline, in [-1, 1].
 
-    Reduces along the last axis, which must have the same length in both.
-    For two 1-D arrays the result is a float, and a zero-variance signal or
-    baseline raises DegenerateBaselineError. Stacked ``(..., n)`` inputs
-    broadcast over their leading axes and give an array that is NaN wherever
-    either variance is zero.
+    Both are 1-D sample arrays of one length. A zero-variance signal or
+    baseline raises DegenerateBaselineError.
     """
     x = _as_signal(signal, "signal")
     y = _as_signal(baseline, "baseline")
-    if x.shape[-1] != y.shape[-1]:
-        raise InvalidInputError(
-            f"length mismatch: signal {x.shape[-1]} vs baseline {y.shape[-1]}"
-        )
-    lead, n = np.broadcast_shapes(x.shape, y.shape)[:-1], x.shape[-1]
-    x, y = (np.broadcast_to(a, lead + (n,)).reshape(-1, n) for a in (x, y))
-    p_x, p_y, var_x, var_y, cov = (terms.reshape(lead) for terms in _row_means(n, x, y))
-    _require_finite(p_x, x, "signal")
-    _require_finite(p_y, y, "baseline")
-    return _pair_or_stack(*_correlation(var_x, var_y, cov),
-                          "zero-variance signal has no correlation")
+    if x.size != y.size:
+        raise InvalidInputError(f"length mismatch: signal {x.size} vs baseline {y.size}")
+    p_x, p_y, var_x, var_y, cov = _row_means(x.size, [x], [y])[:, 0]
+    _require_finite(p_x, [x], "signal")
+    _require_finite(p_y, [y], "baseline")
+    r, flat = _correlation(var_x, var_y, cov)
+    if flat:
+        raise DegenerateBaselineError("zero-variance signal has no correlation")
+    return float(r)
 
 
 def miner_damage_index(cycles_endured: int, cycles_to_failure: int) -> float:

@@ -350,6 +350,20 @@ class TestAppendAndEval:
         truth.write_text("D\n0.1\n0.5\n0.9\n")
         assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_eval_rejects_non_finite_cells(self, tmp_path, capsys, cell):
+        # NaN or infinity would make the JSON report invalid
+        preds = tmp_path / "p.csv"
+        preds.write_text(f"prediction\n0.1\n{cell}\n0.9\n")
+        truth = tmp_path / "t.csv"
+        truth.write_text("D\n0.1\n0.5\n0.9\n")
+        assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"p.csv:3: non-finite 'prediction' value '{cell}'" in err
+        assert main(["eval", "--predictions", str(truth), "--truth", str(preds),
+                     "--pred-col", "D", "--truth-col", "prediction"]) == 1
+        assert "p.csv:3: non-finite 'prediction'" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):

@@ -152,6 +152,14 @@ class TestBuildFeatureRow:
             build_feature_row(bad_layup, layups={2: standard_layups()[2]},
                               failure_cycles=FAILURE_CYCLES)
 
+    @pytest.mark.parametrize("layup_id", [0, -1, 4, 5])
+    def test_layup_id_without_a_one_hot_column_is_rejected(self, layup_id):
+        # a custom catalog may name any id, but only 1..3 have a layup column
+        record = MeasurementRecord("L1S11", layup_id, 0, Condition.BASELINE)
+        with pytest.raises(IngestionError, match="one-hot"):
+            build_feature_row(record, layups={layup_id: standard_layups()[1]},
+                              failure_cycles=FAILURE_CYCLES)
+
     def test_load_requires_loaded_condition(self):
         with pytest.raises(IngestionError):
             MeasurementRecord("L1S11", 1, 0, Condition.BASELINE, load=10.0)
@@ -226,6 +234,23 @@ class TestChannelKernel:
         assert not np.isnan(cells[4]) and np.isnan(cells[N_CHANNELS + 4])  # constant
         assert cells[6] == 0.0 and np.isnan(cells[N_CHANNELS + 6])        # all-zero
         assert not np.isnan(cells[[8, N_CHANNELS + 8]]).any()            # tiny amplitudes
+
+    @pytest.mark.parametrize("n", [7, 128, 257])
+    def test_memory_layout_does_not_change_the_bits(self, n):
+        rng = np.random.default_rng(3000 + n)
+        signals, baselines = rng.normal(size=(2, 6, n))
+        wide_s, wide_b = np.repeat(signals, 2, axis=1), np.repeat(baselines, 2, axis=1)
+        layouts = [
+            (np.asfortranarray(signals), np.asfortranarray(baselines)),
+            (wide_s[:, ::2], wide_b[:, ::2]),
+        ]
+
+        def cells(s, b):
+            return _channel_cells([ChannelMeasurement(3 * i + 1, s[i], b[i]) for i in range(6)])
+
+        expected = cells(signals, baselines)
+        for s, b in layouts:
+            assert np.array_equal(cells(s, b), expected, equal_nan=True)
 
     def test_one_kernel_call_per_sample_count(self, monkeypatch):
         calls = []

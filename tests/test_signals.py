@@ -12,6 +12,7 @@ from maxentnn import (
     miner_damage_index,
     power_ratio,
 )
+from maxentnn.signals import _channel_features
 
 
 def signal_power(samples) -> float:
@@ -73,6 +74,15 @@ class TestPowerRatio:
         with pytest.raises(InvalidInputError, match="baseline"):
             power_ratio([np.nan], [])
 
+    def test_stacked_inputs_are_rejected(self):
+        # batching is the private kernel's; the public call takes one channel
+        with pytest.raises(InvalidInputError, match="signal"):
+            power_ratio(np.ones((2, 4)), np.ones(4))
+        with pytest.raises(InvalidInputError, match="baseline"):
+            power_ratio(np.ones(4), np.ones((1, 4)))
+        with pytest.raises(InvalidInputError, match="baseline"):
+            power_ratio(np.ones(4), 1.0)
+
 
 class TestCorrelationCoefficient:
     def test_identity(self):
@@ -98,6 +108,14 @@ class TestCorrelationCoefficient:
         with pytest.raises(DegenerateBaselineError):
             correlation_coefficient([1.0, 1.0], [0.5, 0.7])
 
+    def test_stacked_inputs_are_rejected(self):
+        with pytest.raises(InvalidInputError, match="signal"):
+            correlation_coefficient(np.ones((2, 4)), np.arange(4.0))
+        with pytest.raises(InvalidInputError, match="baseline"):
+            correlation_coefficient(np.arange(4.0), np.ones((1, 4)))
+        with pytest.raises(InvalidInputError, match="signal"):
+            correlation_coefficient(1.0, np.arange(4.0))
+
     def test_tiny_amplitudes_do_not_underflow_the_variance_product(self):
         # var_x * var_y is about 1e-400 here, below the smallest normal double
         rng = np.random.default_rng(0)
@@ -105,9 +123,6 @@ class TestCorrelationCoefficient:
         r = correlation_coefficient(x, y)
         assert r == pytest.approx(-0.1724, abs=1e-4)
         assert correlation_coefficient(x * 1e-100, y * 1e-100) == pytest.approx(r, rel=1e-12)
-        stacked = correlation_coefficient(np.stack([x, x * 1e-100]), np.stack([y, y * 1e-100]))
-        assert stacked[0] == r
-        assert stacked[1] == pytest.approx(r, rel=1e-12)
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**31), a=st.floats(0.01, 10), c=st.floats(-5, 5))
@@ -123,8 +138,11 @@ class TestCorrelationCoefficient:
 STACK_LENGTHS = (2, 3, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1023, 1025)
 
 
-def _row_by_row(fn, signals, baselines):
-    return np.array([fn(s, b) for s, b in zip(signals, baselines)])
+def _one_channel_calls(signals, baselines):
+    """Each pair's features from the 1-D public calls."""
+    pairs = list(zip(signals, baselines))
+    return (np.array([power_ratio(s, b) for s, b in pairs]),
+            np.array([correlation_coefficient(s, b) for s, b in pairs]))
 
 
 def _numpy_mean_features(x, y):
@@ -146,14 +164,16 @@ def test_one_dimensional_calls_equal_numpy_mean_bit_for_bit(n):
 
 
 class TestStackedInputs:
+    """The private kernel takes a stack of channels: lists of 1-D rows of one length."""
+
     @pytest.mark.parametrize("n", STACK_LENGTHS)
     def test_stack_equals_one_dimensional_calls_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
-        signals = rng.normal(1.5, 2.0, size=(5, n))
-        baselines = rng.normal(-0.5, 1.0, size=(5, n))
-        for fn in (power_ratio, correlation_coefficient):
-            expected = _row_by_row(fn, signals, baselines)
-            assert np.array_equal(fn(signals, baselines), expected)
+        signals = list(rng.normal(1.5, 2.0, size=(5, n)))
+        baselines = list(rng.normal(-0.5, 1.0, size=(5, n)))
+        expected = _one_channel_calls(signals, baselines)
+        got = _channel_features(signals, baselines)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     @pytest.mark.parametrize("n", STACK_LENGTHS)
     def test_memory_layout_does_not_change_the_bits(self, n):
@@ -165,46 +185,10 @@ class TestStackedInputs:
             (np.asfortranarray(signals), np.asfortranarray(baselines)),
             (wide_s[:, ::2], wide_b[:, ::2]),
         ]
-        for fn in (power_ratio, correlation_coefficient):
-            expected = _row_by_row(fn, signals, baselines)
-            for s, b in layouts:
-                assert np.array_equal(fn(s, b), expected)
-
-    def test_stack_of_many_blocks_equals_one_dimensional_calls_bit_for_bit(self):
-        # 300 rows of 256 samples span several blocks of the reduction
-        rng = np.random.default_rng(300)
-        signals = rng.normal(size=(3, 100, 256))
-        baselines = rng.normal(size=(3, 100, 256))
-        rows_s, rows_b = signals.reshape(-1, 256), baselines.reshape(-1, 256)
-        for fn in (power_ratio, correlation_coefficient):
-            expected = _row_by_row(fn, rows_s, rows_b).reshape(3, 100)
-            assert np.array_equal(fn(signals, baselines), expected)
-            one_baseline = _row_by_row(fn, rows_s, [rows_b[0]] * len(rows_s)).reshape(3, 100)
-            assert np.array_equal(fn(signals, rows_b[0]), one_baseline)
-
-    def test_degenerate_entries_are_nan(self):
-        rng = np.random.default_rng(7)
-        signals = rng.normal(size=(4, 16))
-        baselines = rng.normal(size=(4, 16))
-        baselines[1] = 0.0
-        signals[2] = 3.0
-        ratio = power_ratio(signals, baselines)
-        corr = correlation_coefficient(signals, baselines)
-        assert np.array_equal(np.isnan(ratio), [False, True, False, False])
-        assert np.array_equal(np.isnan(corr), [False, True, True, False])
-        assert ratio[2] == power_ratio(signals[2], baselines[2])
-
-    def test_one_channel_stack_is_an_array(self):
-        result = power_ratio([[1.0, 2.0]], [[0.0, 0.0]])
-        assert isinstance(result, np.ndarray) and result.shape == (1,)
-        assert np.isnan(result[0])
-
-    def test_baseline_is_checked_before_the_signal(self):
-        bad = np.full((2, 4), np.nan)
-        with pytest.raises(InvalidInputError, match="baseline"):
-            power_ratio(bad, np.full((2, 4), np.inf))
-        with pytest.raises(InvalidInputError, match="baseline"):
-            power_ratio(bad, np.empty((2, 0)))
+        expected = _one_channel_calls(signals, baselines)
+        for s, b in layouts:
+            got = _channel_features(list(s), list(b))
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 class TestMinerIndex:
