@@ -275,7 +275,16 @@ def _cmd_eval(args) -> int:
         raise MaxentError(
             f"row count mismatch: {preds.size} predictions vs {truth.size} targets"
         )
-    report = metrics(truth, preds)
+    # finite cells can still overflow the squared errors; NaN or infinity
+    # would turn the report into invalid JSON, so that is an error, not a
+    # numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = metrics(truth, preds)
+    if not (math.isfinite(report.r2) and math.isfinite(report.mse)):
+        raise MaxentError(
+            f"metrics are not finite (r2={report.r2}, mse={report.mse}): "
+            "the prediction errors overflow float64"
+        )
     _write_json({"r2": report.r2, "mse": report.mse, "n": report.n}, args.out)
     return 0
 

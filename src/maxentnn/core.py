@@ -112,7 +112,8 @@ class Dataset:
     ``task`` is ``"regression"`` (labels stored as an ``(m, n_y)`` float
     array) or ``"classification"`` (labels stored as an ``(m,)`` integer
     array). Arrays are copied and marked read-only, so a Dataset can be
-    shared freely across concurrent readers.
+    shared freely across concurrent readers; the points are stored
+    C-ordered, whatever the layout they were given in.
 
     Features should be pre-normalized so the bulk of coordinates lies in
     [-1, 1]; the default thresholds assume that scale.
@@ -144,6 +145,9 @@ class Dataset:
             raise InvalidInputError(f"points must be a nonempty 2-D array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("points contain non-finite coordinates")
+        # rows are what the distance scan reads, and the whole-table operator
+        # takes its layout, and so its bits, from them
+        pts = np.ascontiguousarray(pts)
 
         if self.task == "regression":
             lab = np.array(self.labels, dtype=float)
@@ -188,8 +192,9 @@ class Dataset:
         query on this Dataset shares the operator and its step; an append
         makes a new Dataset, which builds its own.
         """
-        # a gather of rows is C-ordered, so the whole table is read as one
-        return _neighborhood(np.ascontiguousarray(self.points))
+        # the points are C-ordered, as a gather of rows is, so the whole
+        # table is read as one
+        return _neighborhood(self.points)
 
 
 @dataclass(frozen=True)
@@ -283,6 +288,29 @@ class PredictionFailure:
     message: str
 
 
+_SCAN_BLOCK = 128
+
+
+def _sq_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of ``points`` to ``q``.
+
+    The rows are scanned ``_SCAN_BLOCK`` at a time through one reused
+    buffer instead of two table-sized temporaries. Each row is still summed
+    alone by numpy's pairwise reduction, so on C-ordered rows the bits are
+    those of ``np.sum((points - q) ** 2, axis=1)``.
+    """
+    m = points.shape[0]
+    d2 = np.empty(m)
+    buf = np.empty((min(m, _SCAN_BLOCK), points.shape[1]))
+    for start in range(0, m, _SCAN_BLOCK):
+        stop = min(start + _SCAN_BLOCK, m)
+        t = buf[: stop - start]
+        np.subtract(points[start:stop], q, out=t)
+        np.multiply(t, t, out=t)
+        np.sum(t, axis=1, out=d2[start:stop])
+    return d2
+
+
 def filter_convex(sq_distances, h: float, threshold: float) -> ConvexSubset:
     """Keep exactly the rows whose similarity to the query exceeds ``threshold``.
 
@@ -358,27 +386,42 @@ def optimize_bandwidth(prefilter: ConvexSubset, params: MaxEntParams) -> ConvexS
     return ConvexSubset(prefilter.indices[keep], d2[keep], p[best][keep], float(grid[best]))
 
 
-def _spectral_bound(kmat: np.ndarray, sweeps: int = 16) -> float:
-    """Upper estimate of ||K||_2^2 by power iteration with a safety margin.
+def _spectral_bound(kmat: np.ndarray) -> float:
+    """Upper estimate of ||K||_2^2 by Lanczos on K^T K with a safety margin.
 
-    The iteration stops early once a sweep maps ``v`` back onto itself bit
-    for bit: every later sweep would repeat the same ``lam``.
+    Lanczos starts from ``ones(k) / sqrt(k)`` and runs at most 16 and at
+    most k steps. ``theta``, the largest eigenvalue of the tridiagonal
+    matrix built so far, rises toward ||K||_2^2; the loop ends once it
+    moves by at most 1e-4 of itself, or once the Krylov space stops growing
+    (a zero ``beta``), where ``theta`` is exact. The estimate is
+    ``1.05 * theta``, or 1.05 times the squared Frobenius norm when K maps
+    the start vector to zero.
     """
-    v = np.ones(kmat.shape[1]) / math.sqrt(kmat.shape[1])
-    lam = None
-    for _ in range(sweeps):
+    k = kmat.shape[1]
+    v = np.ones(k) / math.sqrt(k)
+    v_prev = np.zeros(k)
+    alphas: list[float] = []
+    betas: list[float] = []
+    theta = 0.0
+    for _ in range(min(16, k)):
         w = kmat.T @ (kmat @ v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
+        alphas.append(float(v @ w))
+        w -= alphas[-1] * v
+        if betas:
+            w -= betas[-1] * v_prev
+        # eigvalsh reads the lower triangle, so the subdiagonal suffices
+        tri = np.diag(alphas) + np.diag(betas, -1)
+        theta_prev, theta = theta, float(np.linalg.eigvalsh(tri)[-1])
+        if len(alphas) > 1 and abs(theta - theta_prev) <= 1e-4 * theta:
             break
-        lam = norm / float(np.linalg.norm(v))
-        w /= norm
-        if np.array_equal(w, v):
+        beta = float(np.linalg.norm(w))
+        if beta == 0.0:
             break
-        v = w
-    if lam is None:
-        lam = float(np.sum(kmat * kmat))  # Frobenius fallback
-    return 1.05 * lam
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    if theta <= 0.0:
+        theta = float(np.sum(kmat * kmat))  # Frobenius fallback
+    return 1.05 * theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,8 +429,7 @@ class _Neighborhood:
     """Neighbor rows prepared as the weight solve's operator.
 
     ``kmat`` is the read-only ``(n + 1, k)`` matrix ``[X^T; 1]`` and
-    ``step`` the solve's gradient step ``1 / L``. As an array it is the
-    ``(k, n)`` rows.
+    ``step`` the solve's gradient step ``1 / L``.
     """
 
     kmat: np.ndarray
@@ -395,9 +437,6 @@ class _Neighborhood:
 
     def __len__(self) -> int:
         return self.kmat.shape[1]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.kmat[:-1].T, dtype=dtype, copy=copy)
 
 
 def _neighborhood(rows: np.ndarray) -> _Neighborhood:
@@ -416,11 +455,11 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     """Iterate nonnegative weights toward solving [X^T | 1] u = [X* | 1].
 
     One iteration is an accelerated projected gradient step on
-    0.5 * ||K u - b||^2: a gradient step of size 1/L (L estimated by power
-    iteration), clamping negatives to zero, plus a momentum extrapolation
-    that is dropped whenever the objective rises. The extrapolated point
-    ``z = c + beta (c - u)`` is linear in the new and the last iterate, so
-    its residual ``K z - b`` is formed from their two residuals, already
+    0.5 * ||K u - b||^2: a gradient step of size 1/L (L an upper bound on
+    ||K||_2^2 from Lanczos, see ``_spectral_bound``), clamping negatives to
+    zero, plus a momentum extrapolation that is dropped whenever the
+    objective rises. The extrapolated point ``z = c + beta (c - u)`` is
+    linear in the new and the last iterate, so its residual ``K z - b`` is formed from their two residuals, already
     computed, as ``r_c + beta (r_c - r_u)``. That residual differs from a
     fresh product by rounding only, and ``r_c`` and every test read fresh
     products, so the rounding does not build up; an iteration without a
@@ -488,8 +527,8 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     if not np.all(np.isfinite(u0)):
         raise InvalidInputError("initial weights contain non-finite values")
 
-    d2 = np.sum((pts - q) ** 2, axis=1)
-    exact = np.flatnonzero(d2 == 0.0)
+    # a sum of squares is zero only when every square is, in any layout
+    exact = np.flatnonzero(_sq_distances(pts, q) == 0.0)
     if exact.size:
         w = np.zeros(k)
         w[exact[0]] = 1.0
@@ -617,7 +656,8 @@ def _initial_filter_radius(sq_distances: np.ndarray) -> float:
 def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -> Prediction:
     """Predict the label of one query point.
 
-    The query's squared distance to every row is computed once; the duplicate
+    The query's squared distance to every row is computed once, by a
+    blocked scan of the table (see ``_sq_distances``); the duplicate
     check, the initial filter radius, every round's prefilter and bandwidth
     sweep and the classification tie-break all read that one array.
 
@@ -630,8 +670,12 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     ``max_minconvex_rounds`` rounds. A round that reselects the last solved
     neighborhood (same rows, same similarities) ends as a local minimum
     without a second solve: the solve is deterministic, so it would return
-    the same weights and a zero change in total error. A query exactly
-    duplicating a training point short-circuits to that point's label.
+    the same weights and a zero change in total error. The filter radius
+    only grows, so the prefilters are nested, and a prefilter of the size
+    of the last solved round's holds the same rows: such a round ends as a
+    local minimum before its bandwidth sweep, which would reselect the last
+    neighborhood. A query exactly duplicating a training point
+    short-circuits to that point's label.
     Each solved neighborhood is prepared once as the solve's operator; the
     whole table's is kept on the ``Dataset`` for its later queries.
     """
@@ -639,7 +683,7 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
         params = MaxEntParams()
     q = _as_point(query, dataset.n_features)
 
-    d2 = np.sum((dataset.points - q) ** 2, axis=1)
+    d2 = _sq_distances(dataset.points, q)
     # Exact coordinate matches win; rows whose squared distance underflowed
     # to zero are numerically indistinguishable from the query and count too.
     # An exact match has distance zero, so only those rows are compared.
@@ -658,12 +702,19 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     increment = params.q2_hfilter_increment * h_filter
     error_old = params.q1_initial_error
     last: tuple[WeightSolution, ConvexSubset] | None = None
+    solved_prefilter_size = -1
     exit_reason = "round_cap"
     rounds = 0
 
     for _ in range(params.max_minconvex_rounds):
         rounds += 1
         prefilter = filter_convex(d2, h_filter, params.threshold_filter)
+        if prefilter.size == solved_prefilter_size:
+            # h_filter only grows, so the prefilters are nested: this one
+            # holds the last solved round's rows, and the sweep would
+            # reselect its subset, which the test below ends as a stall.
+            exit_reason = "local_minimum"
+            break
         try:
             subset = optimize_bandwidth(prefilter, params)
         except DegenerateNeighborhoodError:
@@ -686,6 +737,7 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
             neighborhood = _neighborhood(dataset.points[subset.indices])
         solution = solve_weights(neighborhood, q, subset.rbf_values, params)
         last = (solution, subset)
+        solved_prefilter_size = prefilter.size
         if solution.converged:
             exit_reason = "converged"
             break

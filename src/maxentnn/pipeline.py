@@ -343,17 +343,24 @@ def read_numeric_csv(path):
     return header, data
 
 
+def _integer_field(value, name: str) -> int:
+    """``value`` as an int; a fractional number is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise IngestionError(f"malformed record: {name} {value!r} is not an integer")
+    return int(value)
+
+
 def _record_from_json(obj: dict) -> MeasurementRecord:
     try:
         cond = _CONDITION_NAMES[str(obj["condition"]).lower()]
         channels = tuple(
-            ChannelMeasurement(int(c["id"]), c["signal"], c["baseline"])
+            ChannelMeasurement(_integer_field(c["id"], "channel id"), c["signal"], c["baseline"])
             for c in obj.get("channels", [])
         )
         return MeasurementRecord(
             coupon_id=str(obj["coupon"]),
-            layup_id=int(obj["layup"]),
-            cycles=int(obj["cycles"]),
+            layup_id=_integer_field(obj["layup"], "layup"),
+            cycles=_integer_field(obj["cycles"], "cycles"),
             condition=cond,
             load=float(obj.get("load", 0.0)),
             channels=channels,

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,23 @@ class TestFeaturesCommand:
                      "--out", str(out), "--lenient"]) == 0
         captured = capsys.readouterr()
         assert "rows=2" in captured.out and "skipped=1" in captured.out
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_fractional_layup_is_a_malformed_record(self, tmp_path, capsys, lenient):
+        records, fc = _records_fixture(tmp_path, 2)
+        with open(records) as fh:
+            record = json.loads(fh.readline())
+        with open(records, "a") as fh:
+            fh.write(json.dumps({**record, "layup": 1.9}) + "\n")
+        out = tmp_path / "table.csv"
+        argv = ["features", str(records), "--failure-cycles", str(fc), "--out", str(out)]
+        if lenient:
+            assert main(argv + ["--lenient"]) == 0
+            captured = capsys.readouterr().out
+            assert "rows=2" in captured and "skipped=1" in captured
+        else:
+            assert main(argv) == 1
+            assert ":3: malformed record: layup 1.9 is not an integer" in capsys.readouterr().err
 
     def test_strict_aborts_with_line_number(self, tmp_path, capsys):
         records, fc = _records_fixture(tmp_path, 2)
@@ -363,6 +381,19 @@ class TestAppendAndEval:
         assert main(["eval", "--predictions", str(truth), "--truth", str(preds),
                      "--pred-col", "D", "--truth-col", "prediction"]) == 1
         assert "p.csv:3: non-finite 'prediction'" in capsys.readouterr().err
+
+
+    def test_eval_rejects_metrics_that_overflow(self, tmp_path, capsys):
+        # finite cells whose errors square past float64 would report Infinity and NaN
+        preds = tmp_path / "p.csv"
+        preds.write_text("prediction\n1e308\n-1e308\n")
+        truth = tmp_path / "t.csv"
+        truth.write_text("D\n-1e308\n1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: metrics are not finite")
 
 
 class TestConfigFile:

@@ -398,7 +398,8 @@ class TestFixedPointExit:
         ds = Dataset(rng.uniform(-1, 1, (30, 2)), rng.uniform(-1, 1, (30, 1)))
         q = [0.9, 0.95]
         pred = predict_point(ds, q)
-        monkeypatch.setattr(maxentnn.core, "solve_weights", _full_loop_solve)
+        monkeypatch.setattr(maxentnn.core, "solve_weights",
+                            lambda nb, *args: _full_loop_solve(nb.kmat[:-1].T, *args))
         ref = predict_point(ds, q)
         assert pred.diagnostics() == ref.diagnostics()
         assert (ref.n_neighbors, ref.rounds, ref.iterations) == (1, 2, 20)
@@ -641,7 +642,7 @@ class TestPreparedNeighborhood:
             whole += sum(len(c[0]) == m for c in calls[before:])
         assert whole > 0 and len(calls) > 36
         for nb, q, u0, params, sol in calls:
-            ref = solve_weights(np.asarray(nb), q, u0, params)
+            ref = solve_weights(nb.kmat[:-1].T, q, u0, params)
             assert np.array_equal(sol.weights, ref.weights)
             assert sol.residual_error == ref.residual_error
             assert sol.weight_sum_gap == ref.weight_sum_gap
@@ -677,7 +678,7 @@ class TestPreparedNeighborhood:
             assert not nb.kmat.flags.writeable
             with pytest.raises(ValueError):
                 nb.kmat[0, 0] = 1.0
-        np.testing.assert_array_equal(np.asarray(ds._whole_table), ds.points)
+        np.testing.assert_array_equal(ds._whole_table.kmat[:-1].T, ds.points)
         assert ds._whole_table is ds._whole_table
 
     def test_threads_sharing_the_whole_table_match_a_serial_run(self):
@@ -696,22 +697,6 @@ class TestPreparedNeighborhood:
             assert a.extrapolated == b.extrapolated
 
 
-def _all_sweeps_bound(kmat: np.ndarray, sweeps: int = 16) -> float:
-    # the power iteration of ``_spectral_bound`` without its fixed-point exit
-    v = np.ones(kmat.shape[1]) / math.sqrt(kmat.shape[1])
-    lam = None
-    for _ in range(sweeps):
-        w = kmat.T @ (kmat @ v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break
-        lam = norm / float(np.linalg.norm(v))
-        v = w / norm
-    if lam is None:
-        lam = float(np.sum(kmat * kmat))  # Frobenius fallback
-    return 1.05 * lam
-
-
 def _operators(k: int):
     """Prepared ``[X^T; 1]`` operators of k rows: spread, tightly clustered and all-zero."""
     rng = np.random.default_rng(k)
@@ -723,42 +708,95 @@ def _operators(k: int):
     yield np.zeros((4, k))
 
 
+def _power_iteration_bound(kmat: np.ndarray) -> float:
+    # 16 power sweeps on K^T K from ones / sqrt(k), with the same margin
+    v = np.ones(kmat.shape[1]) / math.sqrt(kmat.shape[1])
+    for _ in range(16):
+        w = kmat.T @ (kmat @ v)
+        lam = float(np.linalg.norm(w))
+        v = w / lam
+    return 1.05 * lam
+
+
 class TestSpectralBound:
-    """The power iteration stops once a sweep maps its vector onto itself."""
+    """``_spectral_bound`` gives the solve a step 1/L with ||K||_2^2 <= L <= 1.05 ||K||_2^2."""
 
     @staticmethod
-    def _counting_sweeps(monkeypatch):
-        # every sweep that does not meet a zero vector takes two norms
-        norms = []
-        real = np.linalg.norm
+    def _counting_steps(monkeypatch):
+        # each Lanczos step takes the eigenvalues of its tridiagonal once
+        steps = []
+        real = np.linalg.eigvalsh
 
-        def counting(x, *args, **kwargs):
-            norms.append(1)
-            return real(x, *args, **kwargs)
+        def counting(a, *args, **kwargs):
+            steps.append(1)
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "norm", counting)
-        return lambda: len(norms) // 2
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return lambda: len(steps)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 40])
-    def test_bound_equals_all_sixteen_sweeps_bit_for_bit(self, k):
+    def test_bound_brackets_the_squared_spectral_norm(self, k):
         for kmat in _operators(k):
-            assert _spectral_bound(kmat) == _all_sweeps_bound(kmat)
+            exact = np.linalg.norm(kmat, 2) ** 2
+            assert exact <= _spectral_bound(kmat) <= 1.05 * exact * (1 + 1e-3)
 
-    def test_sweeps_stop_at_a_fixed_point(self, monkeypatch):
-        sweeps = self._counting_sweeps(monkeypatch)
-        counts = {}
-        for k in (1, 2, 40):
-            counts[k] = []
-            for kmat in list(_operators(k))[:-1]:  # not the all-zero operator
-                start = sweeps()
-                _spectral_bound(kmat)
-                counts[k].append(sweeps() - start)
-        # one neighbor: the first normalized sweep gives back v = [1.0]
-        assert counts[1] == [1] * 6
-        # tight clusters settle within a few sweeps, spread rows run all 16
-        for k in (2, 40):
-            assert 16 in counts[k]
-            assert min(counts[k]) < 16
+    def test_bound_holds_where_power_iteration_falls_short(self):
+        # one feature, rows alternating +-1.1: the top eigenvector of K^T K is
+        # nearly orthogonal to the start vector (the nudge keeps it from
+        # being exactly orthogonal), so power sweeps settle on the second
+        x = 1.1 * np.resize([1.0, -1.0], 6)
+        x[0] += 1e-3
+        kmat = np.vstack([x, np.ones(6)])
+        exact = np.linalg.norm(kmat, 2) ** 2
+        assert _power_iteration_bound(kmat) < 0.95 * 1.05 * exact
+        assert exact <= _spectral_bound(kmat) <= 1.05 * exact * (1 + 1e-3)
+
+    def test_steps_are_capped_at_sixteen_and_at_k(self, monkeypatch):
+        steps = self._counting_steps(monkeypatch)
+        rng = np.random.default_rng(4)
+        operators = [kmat for k in (1, 2, 3, 5, 40) for kmat in _operators(k)]
+        operators.append(np.vstack([rng.uniform(-1, 1, (200, 60)), np.ones((1, 60))]))
+        # evenly spread spectra, where theta still moves at either cap
+        operators += [np.diag(np.sqrt(np.linspace(1.0, 0.0, k))) for k in (10, 200)]
+        counts = []
+        for kmat in operators:
+            start = steps()
+            _spectral_bound(kmat)
+            counts.append(steps() - start)
+            assert 1 <= counts[-1] <= min(16, kmat.shape[1])
+        assert counts[-2:] == [10, 16]
+
+    def test_one_neighbor_takes_one_step(self, monkeypatch):
+        steps = self._counting_steps(monkeypatch)
+        for kmat in _operators(1):
+            start = steps()
+            _spectral_bound(kmat)
+            assert steps() - start == 1
+
+
+class TestDistanceScan:
+    """The blocked scan gives the bits of the one-shot expression on C-ordered rows."""
+
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 1000])
+    def test_blocked_scan_equals_one_shot_sum_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        n = 37
+        q = rng.uniform(-1, 1, n)
+        pts = rng.uniform(-1, 1, (m, n)) * rng.choice([1e-3, 1.0, 1e3], (m, 1))
+        special = [
+            q + 1e-16 * rng.normal(size=n),  # near-duplicates of the query
+            np.nextafter(q, np.inf),
+            q + 1e-160 * rng.uniform(1, 2, n),  # squares are subnormal or zero
+            q + 1e155 * rng.uniform(1, 2, n),  # squares overflow to inf
+            q + np.where(rng.uniform(size=n) < 0.5, 1e200, 1e-170),
+        ]
+        for i, row in zip(range(0, m, max(1, m // len(special))), special):
+            pts[i] = row
+        with np.errstate(over="ignore", under="ignore"):
+            expected = np.sum((pts - q) ** 2, axis=1)
+            got = maxentnn.core._sq_distances(pts, q)
+        assert got.shape == (m,)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestPredictRegression:
@@ -865,6 +903,44 @@ class TestPredictPoint:
         blend = direct.weights / direct.weights.sum()
         np.testing.assert_array_equal(pred.neighbor_weights, blend)
         np.testing.assert_array_equal(pred.value, blend @ labels[pred.neighbor_indices])
+
+    def test_unchanged_prefilter_is_not_swept_again(self, monkeypatch):
+        calls = {"filter_convex": [], "optimize_bandwidth": [], "solve_weights": []}
+        for name, log in calls.items():
+            real = getattr(maxentnn.core, name)
+
+            def counting(*args, _real=real, _log=log, **kwargs):
+                _log.append(_real(*args, **kwargs))
+                return _log[-1]
+
+            monkeypatch.setattr(maxentnn.core, name, counting)
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.uniform(-1, 1, (30, 2)), rng.uniform(-1, 1, (30, 1)))
+        pred = predict_point(ds, [6.0, 6.0])
+        assert [f.size for f in calls["filter_convex"]] == [30, 30]
+        assert len(calls["optimize_bandwidth"]) == len(calls["solve_weights"]) == 1
+        assert pred.exit_reason == "local_minimum" and pred.rounds == 2
+        subset, solution = calls["optimize_bandwidth"][0], calls["solve_weights"][0]
+        np.testing.assert_array_equal(pred.neighbor_indices, subset.indices)
+        assert pred.bandwidth == subset.bandwidth
+        assert pred.iterations == solution.iterations
+
+    def test_fortran_ordered_points_predict_as_c_ordered(self):
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-1, 1, (300, 40))
+        labels = rng.uniform(0, 1, (300, 1))
+        c_ds, f_ds = Dataset(pts, labels), Dataset(np.asfortranarray(pts), labels)
+        assert f_ds.points.flags.c_contiguous
+        # the one-shot scan of Fortran-ordered rows sums them in another order
+        f_d2 = np.sum((np.asfortranarray(pts) - pts[0] * 0.9) ** 2, axis=1)
+        assert not np.array_equal(f_d2, np.sum((pts - pts[0] * 0.9) ** 2, axis=1))
+        for q in (pts[0] * 0.9, rng.uniform(-0.3, 0.3, 40), np.full(40, 4.0)):
+            a, b = predict_point(c_ds, q), predict_point(f_ds, q)
+            np.testing.assert_array_equal(a.value, b.value)
+            assert a.diagnostics() == b.diagnostics()
+            np.testing.assert_array_equal(a.neighbor_indices, b.neighbor_indices)
+            np.testing.assert_array_equal(a.neighbor_weights, b.neighbor_weights)
+            assert a.extrapolated == b.extrapolated
 
     def test_growing_neighborhood_is_solved_every_round(self, monkeypatch):
         sizes = self._count_solves(monkeypatch)

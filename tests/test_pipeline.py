@@ -1,5 +1,7 @@
 """Feature pipeline tests: record assembly, table CSV, scaling, online store."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,43 @@ class TestRecordIO:
         self._write_mismatched_channel(path)
         loaded, skipped = read_records(path, strict=False)
         assert len(loaded) == 1 and skipped == 1
+
+    _FRACTIONAL = [
+        ("layup", {"layup": 1.9}),
+        ("cycles", {"cycles": 50.7}),
+        ("channel id", {"channels": [{"id": 2.5, "signal": [1.0, 2.0], "baseline": [2.0, 1.0]}]}),
+    ]
+
+    @staticmethod
+    def _write_fractional(path, fields):
+        write_records(path, [baseline_record(2)])
+        record = {"coupon": "L1S11", "layup": 1, "cycles": 50, "condition": "baseline",
+                  "channels": [{"id": 2, "signal": [1.0, 2.0], "baseline": [2.0, 1.0]}]}
+        with open(path, "a") as fh:
+            fh.write(json.dumps({**record, **fields}) + "\n")
+
+    @pytest.mark.parametrize("name, fields", _FRACTIONAL, ids=["layup", "cycles", "channel-id"])
+    def test_strict_rejects_fractional_integer_fields(self, tmp_path, name, fields):
+        path = tmp_path / "records.jsonl"
+        self._write_fractional(path, fields)
+        value = next(iter(fields.values()))
+        value = value if name != "channel id" else value[0]["id"]
+        with pytest.raises(IngestionError, match=rf":2: malformed record: {name} {value!r} is not"):
+            read_records(path, strict=True)
+
+    @pytest.mark.parametrize("name, fields", _FRACTIONAL, ids=["layup", "cycles", "channel-id"])
+    def test_lenient_skips_fractional_integer_fields(self, tmp_path, name, fields):
+        path = tmp_path / "records.jsonl"
+        self._write_fractional(path, fields)
+        loaded, skipped = read_records(path, strict=False)
+        assert len(loaded) == 1 and skipped == 1
+
+    def test_integral_floats_are_read_as_integers(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        self._write_fractional(path, {"layup": 2.0, "cycles": 50.0})
+        loaded, skipped = read_records(path, strict=True)
+        assert skipped == 0
+        assert (loaded[1].layup_id, loaded[1].cycles, loaded[1].channels[0].channel_id) == (2, 50, 2)
 
 
 class TestFeatureTableCsv:
