@@ -378,6 +378,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_eval)
 
+    # a null config value leaves its flag unset, at the parser's own default
+    defaults = {dest: value for dest, value in (defaults or {}).items() if value is not None}
     if defaults:
         # argparse subparsers override parent defaults, so config-file
         # values have to be planted on every subparser as well
@@ -385,10 +387,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
             child.set_defaults(**defaults)
             # argparse converts only string defaults, so a flag that takes a
             # value gets the text a command line would give it, and its type
-            # check with that; null leaves the flag unset. argparse never
-            # checks a default against the flag's choices, so that is done here
+            # check with that. argparse never checks a default against the
+            # flag's choices, so that is done here
             for action in child._actions:
-                if action.dest in defaults and action.nargs != 0 and action.default is not None:
+                if action.dest in defaults and action.nargs != 0:
                     action.default = str(action.default)
                     if action.choices is not None and action.default not in map(str, action.choices):
                         raise _UsageError(

@@ -394,8 +394,7 @@ def _spectral_bound(kmat: np.ndarray) -> float:
     matrix built so far, rises toward ||K||_2^2; the loop ends once it
     moves by at most 1e-4 of itself, or once the Krylov space stops growing
     (a zero ``beta``), where ``theta`` is exact. The estimate is
-    ``1.05 * theta``, or 1.05 times the squared Frobenius norm when K maps
-    the start vector to zero.
+    ``1.05 * theta``.
     """
     k = kmat.shape[1]
     v = np.ones(k) / math.sqrt(k)
@@ -419,8 +418,7 @@ def _spectral_bound(kmat: np.ndarray) -> float:
             break
         betas.append(beta)
         v_prev, v = v, w / beta
-    if theta <= 0.0:
-        theta = float(np.sum(kmat * kmat))  # Frobenius fallback
+    # K's last row is all ones, so theta >= ||K v0||^2 >= (sum of v0)^2 = k >= 1
     return 1.05 * theta
 
 

@@ -7,6 +7,10 @@ whose decision boundaries oscillate across the square. The synthetic
 benchmark builds a wide low-intrinsic-dimension table with a smooth planted
 target for comparing the entropy predictor against weighted k-NN.
 
+The harness predicts the way the product does: the synthetic table goes
+through ``OnlineStore.from_table`` as served tables do, and weighted k-NN
+ranks rows by the predictor's own squared-distance scan.
+
 All randomness goes through numpy's default_rng (PCG64), so a seed pins
 every generated value.
 """
@@ -23,10 +27,11 @@ from .core import (
     Dataset,
     MaxEntParams,
     Prediction,
+    _sq_distances,
     predict_batch,
 )
 from .errors import InvalidInputError, ParameterError
-from .pipeline import apply_scaler, fit_scaler
+from .pipeline import FeatureTable, OnlineStore
 
 __all__ = [
     "ToySpec",
@@ -124,7 +129,7 @@ def weighted_knn_predict(dataset: Dataset, query, k: int):
     q = np.asarray(query, dtype=float)
     if q.shape != (dataset.n_features,):
         raise InvalidInputError(f"query must have {dataset.n_features} coordinates")
-    distances = np.linalg.norm(dataset.points - q, axis=1)
+    distances = np.sqrt(_sq_distances(dataset.points, q))
     exact = np.flatnonzero(distances == 0.0)
     if exact.size:
         i = int(exact[0])
@@ -216,6 +221,29 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _predict_all(dataset: Dataset, queries: np.ndarray, method: str, k: int | None = None,
+                 params: MaxEntParams | None = None, parallelism: int = 1):
+    """Predict every query with ``method``; returns the ``(n, n_y)`` values
+    and one ``(n_neighbors, h_star, exit_reason)`` triple per query.
+
+    ``"maxent"`` raises on the first failed query; ``"wknn"`` uses ``k``
+    neighbors and has no bandwidth or exit reason.
+    """
+    if method == "maxent":
+        results = predict_batch(dataset, queries, params, parallelism)
+        for i, res in enumerate(results):
+            if not isinstance(res, Prediction):
+                raise InvalidInputError(f"query {i} failed: {res.message}")
+        values = [res.value for res in results]
+        diag = [(res.n_neighbors, res.bandwidth, res.exit_reason) for res in results]
+    elif method == "wknn":
+        values = weighted_knn_batch(dataset, queries, k)
+        diag = [(k, None, None)] * len(values)
+    else:
+        raise ParameterError(f"unknown method {method!r}")
+    return np.array([np.atleast_1d(np.asarray(v, dtype=float)) for v in values]), diag
+
+
 def run_toy_experiment(
     spec: ToySpec,
     method: str = "maxent",
@@ -232,67 +260,34 @@ def run_toy_experiment(
     train = toy_training_points(spec)
     queries = diagonal_queries(spec.eval_count)
     if spec.kind == "regression":
-        labels = np.column_stack(toy_regression_truth(train[:, 0], train[:, 1]))
-        truth = np.column_stack(toy_regression_truth(queries[:, 0], queries[:, 1]))
-        datasets = [Dataset(train, labels, "regression")]
+        truth_fn, cast = toy_regression_truth, float
+        labels = [np.column_stack(truth_fn(train[:, 0], train[:, 1]))]
     else:
-        y1, y2 = toy_classification_truth(train[:, 0], train[:, 1])
-        truth = np.column_stack(toy_classification_truth(queries[:, 0], queries[:, 1]))
-        datasets = [Dataset(train, y1, "classification"), Dataset(train, y2, "classification")]
+        # one dataset per label; a row's diagnostics are the second label's
+        truth_fn, cast = toy_classification_truth, int
+        labels = truth_fn(train[:, 0], train[:, 1])
+    truth = np.column_stack(truth_fn(queries[:, 0], queries[:, 1]))
 
-    preds = np.empty((spec.eval_count, 2))
-    diag: list[dict] = [dict(n_neighbors=None, h_star=None, exit_reason=None)
-                        for _ in range(spec.eval_count)]
-    if method == "maxent":
-        for col, ds in enumerate(datasets):
-            results = predict_batch(ds, queries, params, parallelism)
-            for i, res in enumerate(results):
-                if not isinstance(res, Prediction):
-                    raise InvalidInputError(f"query {i} failed: {res.message}")
-                value = np.atleast_1d(np.asarray(res.value, dtype=float))
-                if len(datasets) == 1:
-                    preds[i] = value
-                else:
-                    preds[i, col] = value[0]
-                diag[i] = dict(n_neighbors=res.n_neighbors, h_star=res.bandwidth,
-                               exit_reason=res.exit_reason)
-    elif method == "wknn":
-        for col, ds in enumerate(datasets):
-            values = weighted_knn_batch(ds, queries, k)
-            for i, v in enumerate(values):
-                if len(datasets) == 1:
-                    preds[i] = np.asarray(v, dtype=float)
-                else:
-                    preds[i, col] = float(v)
-                diag[i] = dict(n_neighbors=k, h_star=None, exit_reason=None)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
+    columns = []
+    for lab in labels:
+        values, diag = _predict_all(Dataset(train, lab, spec.kind), queries, method, k,
+                                    params, parallelism)
+        columns.append(values)
+    preds = np.hstack(columns)
 
-    rows = []
-    for i in range(spec.eval_count):
-        rows.append({
-            "x1": repr(float(queries[i, 0])),
-            "x2": repr(float(queries[i, 1])),
-            "y1_true": _format_cell(float(truth[i, 0]) if spec.kind == "regression" else int(truth[i, 0])),
-            "y2_true": _format_cell(float(truth[i, 1]) if spec.kind == "regression" else int(truth[i, 1])),
-            "y1_pred": _format_cell(float(preds[i, 0]) if spec.kind == "regression" else int(round(preds[i, 0]))),
-            "y2_pred": _format_cell(float(preds[i, 1]) if spec.kind == "regression" else int(round(preds[i, 1]))),
-            "n_neighbors": _format_cell(diag[i]["n_neighbors"]),
-            "h_star": _format_cell(diag[i]["h_star"]),
-            "exit_reason": _format_cell(diag[i]["exit_reason"]),
-        })
-
-    if spec.kind == "regression":
-        reports = {}
-        for col, name in enumerate(("y1", "y2")):
+    rows = [
+        {c: _format_cell(v) for c, v in zip(ToyExperimentResult._DUMP_COLUMNS,
+                                             (*map(float, q), *map(cast, t), *map(cast, p), *d))}
+        for q, t, p, d in zip(queries, truth, preds, diag)
+    ]
+    summary = {}
+    for col, name in enumerate(("y1", "y2")):
+        if spec.kind == "regression":
             rep = metrics(truth[:, col], preds[:, col])
-            reports[name] = {"r2": rep.r2, "mse": rep.mse, "n": rep.n}
-        summary = reports
-    else:
-        summary = {
-            name: {"accuracy": accuracy(truth[:, col], np.round(preds[:, col])), "n": spec.eval_count}
-            for col, name in enumerate(("y1", "y2"))
-        }
+            scores = {"r2": rep.r2, "mse": rep.mse}
+        else:
+            scores = {"accuracy": accuracy(truth[:, col], preds[:, col])}
+        summary[name] = {**scores, "n": spec.eval_count}
     return ToyExperimentResult(spec, method, rows, summary)
 
 
@@ -377,17 +372,12 @@ def run_synthetic_benchmark(
     n_test = int(round(m * test_fraction))
     test_idx, train_idx = np.sort(perm[:n_test]), np.sort(perm[n_test:])
 
-    scaler = fit_scaler(x[train_idx], "minmax_pm1")
-    x_train = apply_scaler(scaler, x[train_idx])
-    x_test = apply_scaler(scaler, x[test_idx])
-    y_train, y_test = y[train_idx], y[test_idx]
+    columns = tuple(f"x{j + 1}" for j in range(x.shape[1]))
+    store = OnlineStore.from_table(FeatureTable(x[train_idx], y[train_idx], columns))
+    ds = store.snapshot()
+    x_test, y_test = store.normalize(x[test_idx]), y[test_idx]
 
-    ds = Dataset(x_train, y_train.reshape(-1, 1), "regression")
-    results = predict_batch(ds, x_test, params, parallelism)
-    failed = [r for r in results if not isinstance(r, Prediction)]
-    if failed:
-        raise InvalidInputError(f"{len(failed)} benchmark queries failed: {failed[0].message}")
-    preds = np.array([float(np.asarray(r.value).ravel()[0]) for r in results])
+    preds, _ = _predict_all(ds, x_test, "maxent", params=params, parallelism=parallelism)
     report = metrics(y_test, preds)
     out = {
         "r2_maxent": report.r2,
@@ -397,7 +387,5 @@ def run_synthetic_benchmark(
         "n_test": int(test_idx.size),
     }
     for k in ks:
-        knn_preds = np.array([float(np.asarray(v).ravel()[0])
-                              for v in weighted_knn_batch(ds, x_test, k)])
-        out["r2_wknn"][int(k)] = metrics(y_test, knn_preds).r2
+        out["r2_wknn"][int(k)] = metrics(y_test, _predict_all(ds, x_test, "wknn", k)[0]).r2
     return out

@@ -733,6 +733,23 @@ class TestExitCodeContract:
         assert _run_in_tmp(["--config", "cfg.json"] + predict, files)[0] == 0
         assert build_parser({"scaler": "none"}).parse_args(predict).scaler == "none"
 
+    @pytest.mark.parametrize("config", [{"seed": None}, {"k": None}, {"train": None}])
+    def test_null_config_value_leaves_the_flag_at_its_default(self, config):
+        toy_run = ["toy-reg", "--eval", "3", "--out-dir", "toy"]  # --train left at 500
+        code, err = _run_in_tmp(["--config", "cfg.json"] + toy_run, {"cfg.json": json.dumps(config)})
+        assert code == 0, err
+
+    def test_null_scaler_in_a_config_writes_what_no_config_does(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.csv").write_text("x1,D\n0.1,0.2\n0.5,0.4\n0.9,0.3\n")
+        (tmp_path / "q.csv").write_text("x1\n0.3\n")  # not a table row, so scaling shows
+        (tmp_path / "cfg.json").write_text('{"scaler": null}')
+        predict = ["predict", "--table", "t.csv", "--queries", "q.csv"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--config", "cfg.json"] + predict + ["--out", "config.csv"]) == 0
+            assert main(predict + ["--out", "plain.csv"]) == 0
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     def test_config_values_of_the_flags_types_still_apply(self):
         config = {"seed": 3, "k": 2, "threshold_filter": 0.05, "parallel": None}
         args = build_parser(config).parse_args(_TOY_RUN)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from maxentnn import Dataset, InvalidInputError, ParameterError
+from maxentnn import Dataset, InvalidInputError, ParameterError, evaluation
 from maxentnn.evaluation import (
     ToySpec,
     accuracy,
@@ -126,6 +126,40 @@ class TestWeightedKnn:
         ds = Dataset([[0.0], [0.1], [10.0]], [1, 1, 0], task="classification")
         assert weighted_knn_predict(ds, [0.05], k=3) == 1
 
+    @staticmethod
+    def _oracle(ds, query, k):
+        """The baseline from numpy's norm and a stable argsort."""
+        d = np.linalg.norm(ds.points - query, axis=1)
+        exact = np.flatnonzero(d == 0.0)
+        if exact.size:
+            i = int(exact[0])
+            return ds.labels[i] if ds.task == "regression" else int(ds.labels[i])
+        order = np.argsort(d, kind="stable")[:k]
+        w = 1.0 / d[order]
+        if ds.task == "regression":
+            return (w @ ds.labels[order]) / w.sum()
+        votes = {}
+        for label, wi in zip(ds.labels[order], w):
+            votes[int(label)] = votes.get(int(label), 0.0) + float(wi)
+        return min(c for c, v in votes.items() if v == max(votes.values()))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_matches_norm_oracle_bit_for_bit(self, scale, task):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1.0, 1.0, size=(60, 5)) * scale
+        labels = rng.normal(size=(60, 2)) if task == "regression" else rng.integers(0, 3, 60)
+        ds = Dataset(pts, labels, task)
+        queries = [*(rng.uniform(-1.0, 1.0, size=(20, 5)) * scale), pts[7]]  # the last is a row
+        for query in queries:
+            for k in (1, 4, 60):
+                out = weighted_knn_predict(ds, query, k)
+                expected = self._oracle(ds, query, k)
+                if task == "regression":
+                    np.testing.assert_array_equal(out, expected)
+                else:
+                    assert out == expected
+
     def test_k_out_of_range(self):
         ds = self._toy_dataset(m=10)
         with pytest.raises(ParameterError):
@@ -184,6 +218,16 @@ class TestToyExperiments:
         res = run_toy_experiment(spec, "wknn", k=3)
         assert res.method == "wknn"
         assert res.rows[0]["n_neighbors"] == "3"
+
+    @pytest.mark.parametrize("kind", ["regression", "classification"])
+    def test_unknown_method_is_rejected_before_any_prediction(self, kind, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a prediction ran")
+
+        monkeypatch.setattr(evaluation, "predict_batch", never)
+        monkeypatch.setattr(evaluation, "weighted_knn_batch", never)
+        with pytest.raises(ParameterError, match="bogus"):
+            run_toy_experiment(ToySpec(kind, train_count=20, eval_count=3), "bogus")
 
     def test_classification_summary(self):
         spec = ToySpec("classification", train_count=150, eval_count=10, seed=5)
