@@ -29,6 +29,7 @@ from .core import (
     Prediction,
     _sq_distances,
     predict_batch,
+    predict_classification,
 )
 from .errors import InvalidInputError, ParameterError
 from .pipeline import FeatureTable, OnlineStore
@@ -222,12 +223,18 @@ def _format_cell(value) -> str:
 
 
 def _predict_all(dataset: Dataset, queries: np.ndarray, method: str, k: int | None = None,
-                 params: MaxEntParams | None = None, parallelism: int = 1):
+                 params: MaxEntParams | None = None, parallelism: int = 1, more_labels=()):
     """Predict every query with ``method``; returns the ``(n, n_y)`` values
     and one ``(n_neighbors, h_star, exit_reason)`` triple per query.
 
     ``"maxent"`` raises on the first failed query; ``"wknn"`` uses ``k``
     neighbors and has no bandwidth or exit reason.
+
+    ``more_labels`` are further class-label arrays over the dataset's
+    points, each predicted as one more value column. Neighbor selection,
+    bandwidth and weights never read the labels, so ``"maxent"`` searches
+    once and votes each of them from the neighbors that search chose, as a
+    search over that label's ``Dataset`` would.
     """
     if method == "maxent":
         results = predict_batch(dataset, queries, params, parallelism)
@@ -235,13 +242,24 @@ def _predict_all(dataset: Dataset, queries: np.ndarray, method: str, k: int | No
             if not isinstance(res, Prediction):
                 raise InvalidInputError(f"query {i} failed: {res.message}")
         values = [res.value for res in results]
+        more = [[_vote(lab, dataset.points, res.neighbor_indices, q)
+                 for res, q in zip(results, queries)] for lab in more_labels]
         diag = [(res.n_neighbors, res.bandwidth, res.exit_reason) for res in results]
     elif method == "wknn":
         values = weighted_knn_batch(dataset, queries, k)
+        more = [weighted_knn_batch(Dataset(dataset.points, lab, dataset.task), queries, k)
+                for lab in more_labels]
         diag = [(k, None, None)] * len(values)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    return np.array([np.atleast_1d(np.asarray(v, dtype=float)) for v in values]), diag
+    values = np.array([np.atleast_1d(np.asarray(v, dtype=float)) for v in values])
+    return np.column_stack([values, *more]), diag
+
+
+def _vote(labels, points, indices, query) -> int:
+    """The class ``predict_point`` votes from the neighbors ``indices``,
+    with the nearest member breaking a tie."""
+    return predict_classification(labels[indices], np.sqrt(_sq_distances(points[indices], query)))
 
 
 def run_toy_experiment(
@@ -263,17 +281,13 @@ def run_toy_experiment(
         truth_fn, cast = toy_regression_truth, float
         labels = [np.column_stack(truth_fn(train[:, 0], train[:, 1]))]
     else:
-        # one dataset per label; a row's diagnostics are the second label's
+        # one search serves both labels: the second is voted from the first's neighbors
         truth_fn, cast = toy_classification_truth, int
         labels = truth_fn(train[:, 0], train[:, 1])
     truth = np.column_stack(truth_fn(queries[:, 0], queries[:, 1]))
 
-    columns = []
-    for lab in labels:
-        values, diag = _predict_all(Dataset(train, lab, spec.kind), queries, method, k,
-                                    params, parallelism)
-        columns.append(values)
-    preds = np.hstack(columns)
+    preds, diag = _predict_all(Dataset(train, labels[0], spec.kind), queries, method, k,
+                               params, parallelism, labels[1:])
 
     rows = [
         {c: _format_cell(v) for c, v in zip(ToyExperimentResult._DUMP_COLUMNS,

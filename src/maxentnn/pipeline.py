@@ -420,15 +420,31 @@ class ImputerSpec:
     medians: np.ndarray
 
 
+# The complete columns' medians are taken about this many bytes of the table
+# at a time, so no table-sized copy is made.
+_MEDIAN_BLOCK_BYTES = 512 * 1024
+
+
 def fit_imputer(table: FeatureTable) -> ImputerSpec:
-    """Median of the present (non-NaN) cells per column; 0 for fully missing columns."""
+    """Median of the present (non-NaN) cells per column; 0 for fully missing columns.
+
+    The complete columns are copied ``_MEDIAN_BLOCK_BYTES`` at a time, one
+    column per C-ordered row, and each block's medians are selected in
+    place. Selection is exact, so a median does not depend on its block.
+    Each gappy column's median is taken over its present cells alone.
+    """
     rows = table.rows
     missing = np.isnan(rows)
     medians = np.zeros(rows.shape[1])
     gappy = missing.any(axis=0)
     full = np.flatnonzero(~gappy)
     if len(table):
-        medians[full] = np.median(rows[:, full], axis=0)
+        step = max(1, _MEDIAN_BLOCK_BYTES // (8 * len(table)))
+        for start in range(0, full.size, step):
+            cols = full[start : start + step]
+            # rows.T[cols] is a fresh C-ordered copy; a column-major block
+            # would be copied again by median's NaN check
+            medians[cols] = np.median(rows.T[cols], axis=1, overwrite_input=True)
     for j in np.flatnonzero(gappy):
         live = rows[~missing[:, j], j]
         if live.size:
@@ -437,10 +453,9 @@ def fit_imputer(table: FeatureTable) -> ImputerSpec:
 
 
 def apply_imputer(spec: ImputerSpec, rows: np.ndarray) -> np.ndarray:
-    """A copy of ``rows`` with each NaN cell set to its column's median."""
-    filled = np.array(rows, dtype=float)
-    missing = np.isnan(filled)
-    filled[missing] = np.broadcast_to(spec.medians, filled.shape)[missing]
+    """A C-ordered copy of ``rows`` with each NaN cell set to its column's median."""
+    filled = np.array(rows, dtype=float, order="C")
+    np.copyto(filled, spec.medians, where=np.isnan(filled))
     return filled
 
 
@@ -479,9 +494,12 @@ def fit_scaler(rows: np.ndarray, kind: str = "minmax_pm1") -> ScalerSpec:
     return ScalerSpec(kind, center, scale, constant)
 
 
-def apply_scaler(spec: ScalerSpec, rows: np.ndarray) -> np.ndarray:
+def apply_scaler(spec: ScalerSpec, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(rows - center) / scale``, written to ``out`` when given (``out=rows``
+    scales in place) and to a new array otherwise; returns the result."""
     x = np.asarray(rows, dtype=float)
-    return (x - spec.center) / spec.scale
+    out = np.subtract(x, spec.center, out=out)
+    return np.divide(out, spec.scale, out=out)
 
 
 class OnlineStore:
@@ -522,15 +540,21 @@ class OnlineStore:
 
         Pass ``scaler_kind=None`` to skip scaling (the rows must then
         already be normalized).
+
+        The table is copied once: the imputed copy is scaled in place and
+        becomes the ``Dataset``'s points, so loading holds the caller's
+        table and the store's points and no other table-sized array (the
+        ``standard`` scaler's fit makes one more while it runs). ``table``
+        is not modified.
         """
         imputer = fit_imputer(table)
         points = apply_imputer(imputer, table.rows)
         scaler = None
         if scaler_kind is not None:
             scaler = fit_scaler(points, scaler_kind)
-            points = apply_scaler(scaler, points)
+            apply_scaler(scaler, points, out=points)
         return cls(table.columns, params or MaxEntParams(), imputer, scaler,
-                   Dataset(points, table.targets, "regression"))
+                   Dataset._adopt(points, table.targets))
 
     def __len__(self) -> int:
         return self._dataset.n_points

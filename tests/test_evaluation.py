@@ -235,6 +235,27 @@ class TestToyExperiments:
         for name in ("y1", "y2"):
             assert 0.0 <= res.summary[name]["accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_classification_searches_once_for_both_labels(self, seed, monkeypatch):
+        spec = ToySpec("classification", train_count=60, eval_count=9, seed=seed)
+        train, queries = toy_training_points(spec), diagonal_queries(spec.eval_count)
+        full_runs = [evaluation.predict_batch(Dataset(train, lab, "classification"), queries)
+                     for lab in toy_classification_truth(train[:, 0], train[:, 1])]
+        real, calls = evaluation.predict_batch, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "predict_batch", counted)
+        res = run_toy_experiment(spec, "maxent")
+        assert len(calls) == 1
+        for row, first, second in zip(res.rows, *full_runs):
+            assert first.diagnostics() == second.diagnostics()
+            assert (row["y1_pred"], row["y2_pred"]) == (str(first.value), str(second.value))
+            assert (row["n_neighbors"], row["h_star"], row["exit_reason"]) == (
+                str(second.n_neighbors), repr(second.bandwidth), second.exit_reason)
+
     def test_csv_dump(self, tmp_path):
         spec = ToySpec("regression", train_count=60, eval_count=6, seed=5)
         res = run_toy_experiment(spec, "maxent")

@@ -1,6 +1,7 @@
 """Feature pipeline tests: record assembly, table CSV, scaling, online store."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -586,6 +587,123 @@ class TestPrepareDataset:
         assert ds.points.max() <= 1.0 + 1e-12
         assert scaler.kind == "minmax_pm1"
         assert imputer.medians.shape == (6,)
+
+
+def _old_store_arrays(rows, kind):
+    """Medians, scaler and points as loading computed them with one array per
+    step: a whole-table median, a filled copy and ``(x - center) / scale``."""
+    missing = np.isnan(rows)
+    medians = np.zeros(rows.shape[1])
+    gappy = missing.any(axis=0)
+    full = np.flatnonzero(~gappy)
+    medians[full] = np.median(rows[:, full], axis=0)
+    for j in np.flatnonzero(gappy):
+        live = rows[~missing[:, j], j]
+        if live.size:
+            medians[j] = float(np.median(live))
+    filled = np.where(missing, medians, rows)
+    if kind is None:
+        return medians, None, filled
+    spec = fit_scaler(filled, kind)
+    return medians, spec, (filled - spec.center) / spec.scale
+
+
+def _loaded_table(m, width, seed):
+    """A table with blank cells, an all-blank column and two constant columns."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(m, width)) * rng.uniform(0.1, 10.0, size=width)
+    rows[rng.random((m, width)) < 0.1] = np.nan
+    rows[:, 2] = np.nan
+    rows[:, 5] = 3.25
+    rows[:, 7] = 0.0
+    return FeatureTable(rows, rng.uniform(0, 1, size=m), tuple(f"f{i}" for i in range(width)))
+
+
+def _csv_table(tmp_path, m=600, width=200):
+    path = tmp_path / "table.csv"
+    rng = np.random.default_rng(3)
+    FeatureTable(rng.normal(size=(m, width)), rng.uniform(0, 1, size=m),
+                 tuple(f"f{i}" for i in range(width))).to_csv(path)
+    return path
+
+
+def _peak_new_bytes(fn):
+    """Peak bytes allocated by ``fn()`` above what was held when it started."""
+    fn()  # first-call allocations (caches, lazy imports) are not the load's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneWorkingCopy:
+    """``from_table`` imputes and scales one copy of the table, bit for bit as
+    one array per step did, and leaves what the caller passed untouched."""
+
+    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 33])
+    def test_points_medians_and_scaler_match_one_array_per_step(self, kind, m, monkeypatch):
+        # three rows of eight bytes per block: a 40-column table spans many blocks
+        monkeypatch.setattr(maxentnn.pipeline, "_MEDIAN_BLOCK_BYTES", 3 * 8 * m)
+        table = _loaded_table(m, 40, seed=m)
+        rows_before = table.rows.copy()
+        medians, spec, points = _old_store_arrays(table.rows, kind)
+        store = OnlineStore.from_table(table, scaler_kind=kind)
+        np.testing.assert_array_equal(store.imputer.medians, medians)
+        np.testing.assert_array_equal(store.snapshot().points, points)
+        if kind is None:
+            assert store.scaler is None
+        else:
+            for field in ("center", "scale", "constant"):
+                np.testing.assert_array_equal(getattr(store.scaler, field), getattr(spec, field))
+        np.testing.assert_array_equal(table.rows, rows_before)
+
+    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
+    def test_points_do_not_share_memory_with_the_table(self, kind):
+        table = random_table(m=20, seed=3)
+        store = OnlineStore.from_table(table, scaler_kind=kind)
+        assert not np.shares_memory(store.snapshot().points, table.rows)
+
+    def test_fortran_ordered_table_loads_as_its_c_ordered_copy(self):
+        table = _loaded_table(30, 12, seed=6)
+        f_table = FeatureTable(np.asfortranarray(table.rows), table.targets, table.columns)
+        points = OnlineStore.from_table(f_table).snapshot().points
+        assert points.flags.c_contiguous
+        np.testing.assert_array_equal(points, OnlineStore.from_table(table).snapshot().points)
+
+    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard"])
+    @pytest.mark.parametrize("blank", [False, True])
+    def test_normalize_returns_a_new_array_and_keeps_its_input(self, kind, blank):
+        store = OnlineStore.from_table(random_table(m=20, seed=3, masked=True), scaler_kind=kind)
+        queries = np.random.default_rng(8).normal(size=(4, 6))
+        if blank:
+            queries[1, 2] = np.nan
+        before = queries.copy()
+        out = store.normalize(queries)
+        assert not np.shares_memory(out, queries)
+        np.testing.assert_array_equal(queries, before)
+
+    def test_apply_scaler_in_place_matches_a_new_array(self):
+        rows = np.random.default_rng(2).normal(size=(9, 4))
+        spec = fit_scaler(rows, "standard")
+        expected = apply_scaler(spec, rows)
+        assert apply_scaler(spec, rows, out=rows) is rows
+        np.testing.assert_array_equal(rows, expected)
+
+    def test_from_table_allocates_about_one_table(self):
+        table = _loaded_table(600, 200, seed=5)
+        peak = _peak_new_bytes(lambda: OnlineStore.from_table(table))
+        assert peak <= 1.3 * table.rows.nbytes
+
+    def test_load_holds_the_parsed_table_and_the_points(self, tmp_path):
+        path = _csv_table(tmp_path)
+        nbytes = FeatureTable.from_csv(path).rows.nbytes
+        peak = _peak_new_bytes(lambda: OnlineStore.from_table(FeatureTable.from_csv(path)))
+        assert peak <= 2.3 * nbytes
 
 
 class TestOnlineStore:
