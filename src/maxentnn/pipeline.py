@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import enum
 import functools
+import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,72 +270,64 @@ class FeatureTable:
         return cls(data[:, :-1], targets, tuple(header[:-1]))
 
 
-# a line whose last cell is empty, with each line ending a file can have
-_EMPTY_LAST_CELL = (",", ",\n", ",\r", ",\r\n")
+def _loadtxt_records(path, lines, n_columns: int, blanks: list):
+    """The body's records as lines ``np.loadtxt`` reads to the cells ``csv`` reads.
 
-
-def _plain_numeric_body(fh, n_columns: int, skiprows: int):
-    """The lines after the header as one float array when they are plain numbers, else None.
-
-    A first pass over the lines looks for a quote, an empty cell or a blank
-    line and stops at the first, so a table with missing cells goes to the
-    cell parser without a failed parse. Only a body without them is read
-    again, in one ``np.loadtxt`` call; a cell it cannot read, a non-finite
-    value or a wrong row or column count also gives None.
+    Each empty cell becomes ``nan``, and each record's count of them is
+    appended to ``blanks``. A record with a quote, whose cells may hold
+    commas or run over more lines, is split by ``csv`` and written back
+    with every cell quoted. A blank line or a record without ``n_columns``
+    cells raises an IngestionError naming its line.
     """
-    n_rows = 0
-    for line in fh:
-        if ('"' in line or ",," in line or line.startswith(",")
-                or line.endswith(_EMPTY_LAST_CELL) or line.isspace()):
-            return None
-        n_rows += 1
-    if n_rows == 0:
-        return None
-    fh.seek(0)
-    try:
-        data = np.loadtxt(fh, delimiter=",", skiprows=skiprows, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if data.shape != (n_rows, n_columns) or not np.isfinite(data).all():
-        return None
-    return data
+    for lineno, line in enumerate(lines, start=2):
+        n, blank = line.count(",") + 1, 0
+        if '"' in line:
+            cells = next(csv.reader(itertools.chain([line], lines)))
+            n, blank = len(cells), cells.count("")
+            line = '"' + '","'.join([c.replace('"', '""') or "nan" for c in cells]) + '"'
+        elif line.isspace():
+            n = 0
+        # the substring tests spare the split on a line with no empty cell
+        elif ",," in line or line.startswith(",") or line.endswith((",", ",\n", ",\r", ",\r\n")):
+            cells = line.rstrip("\r\n").split(",")
+            blank = cells.count("")
+            line = ",".join([c or "nan" for c in cells])
+        if n != n_columns:
+            raise IngestionError(f"{path}:{lineno}: expected {n_columns} cells")
+        blanks.append(blank)
+        yield line
 
 
 def read_numeric_csv(path):
     """Header and float matrix of a headered numeric CSV.
 
     Empty cells become NaN (missing). Any other cell must be a finite
-    number: text such as ``abc``, ``inf`` or ``nan`` raises an
-    IngestionError naming its line.
+    number in numpy's float grammar: text such as ``abc``, ``inf``,
+    ``nan``, ``1_0`` or a non-ASCII digit raises an IngestionError naming
+    its line. Lines are numbered by record, the header being line 1.
 
-    A body without quotes, empty cells or blank lines is parsed in one
-    ``np.loadtxt`` call; any other body, and one that call rejects, is
-    parsed cell by cell, so missing cells and error messages do not depend
-    on the fast path.
+    The body is parsed in one ``np.loadtxt`` pass, whose lines are
+    rewritten on the way only where a cell is empty or quoted.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise IngestionError(f"{path}: empty file")
-        data = _plain_numeric_body(fh, len(header), reader.line_num)
-        if data is not None:
-            return header, data
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        rows, blanks = [], []
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise IngestionError(f"{path}:{lineno}: expected {len(header)} cells")
-            try:
-                rows.append([float(c) if c != "" else np.nan for c in cells])
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: {exc}") from None
-            blanks.append(cells.count(""))
-    data = np.array(rows, dtype=float) if rows else np.zeros((0, len(header)))
-    # checked on the parsed array, off the per-cell path: a NaN that is not
-    # an empty field came from text such as "nan"
+        first = next(fh, None)
+        if first is None:  # np.loadtxt would warn that the input held no data
+            return header, np.zeros((0, len(header)))
+        blanks = []
+        records = _loadtxt_records(path, itertools.chain([first], fh), len(header), blanks)
+        try:
+            data = np.loadtxt(records, delimiter=",", comments=None, ndmin=2, quotechar='"')
+        except ValueError as exc:
+            # numpy names a cell it cannot read by its 0-based row and 1-based column
+            cell = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc), re.DOTALL)
+            if cell is None:
+                raise IngestionError(f"{path}: {exc}") from None
+            raise IngestionError(
+                f"{path}:{int(cell[2]) + 2}: {cell[1]} in column {cell[3]}") from None
+    # a NaN that is not an empty field came from text such as "nan"
     non_finite = np.isinf(data).any(axis=1) | (np.isnan(data).sum(axis=1) != blanks)
     if non_finite.any():
         raise IngestionError(
@@ -344,8 +338,9 @@ def read_numeric_csv(path):
 
 
 def _integer_field(value, name: str) -> int:
-    """``value`` as an int; a fractional number is rejected, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """``value`` as an int; a fractional number is rejected, not truncated,
+    and so are JSON ``true``/``false`` and strings, which are not numbers."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise IngestionError(f"malformed record: {name} {value!r} is not an integer")
     return int(value)
 
@@ -357,12 +352,15 @@ def _record_from_json(obj: dict) -> MeasurementRecord:
             ChannelMeasurement(_integer_field(c["id"], "channel id"), c["signal"], c["baseline"])
             for c in obj.get("channels", [])
         )
+        load = obj.get("load", 0.0)
+        if isinstance(load, bool):
+            raise IngestionError(f"malformed record: load {load!r} is not a number")
         return MeasurementRecord(
             coupon_id=str(obj["coupon"]),
             layup_id=_integer_field(obj["layup"], "layup"),
             cycles=_integer_field(obj["cycles"], "cycles"),
             condition=cond,
-            load=float(obj.get("load", 0.0)),
+            load=float(load),
             channels=channels,
         )
     except IngestionError:
