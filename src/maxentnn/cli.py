@@ -208,9 +208,9 @@ def _serve(store, queries, workers, path) -> int:
 
 
 def _cmd_predict(args) -> int:
-    # the raw table is not kept: the store holds the imputed, scaled rows
-    store = OnlineStore.from_table(FeatureTable.from_csv(args.table),
-                                   params=_params_from(args), scaler_kind=_scaler_kind(args))
+    # the parsed table is imputed and scaled in place and becomes the store's rows
+    store = OnlineStore.from_csv(args.table, params=_params_from(args),
+                                 scaler_kind=_scaler_kind(args))
     queries = _load_queries(args.queries, store.columns)
     n = _serve(store, queries, _parallelism(args), args.out)
     print(f"predict: wrote {n} row(s) to {args.out}")
@@ -221,8 +221,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_append(args) -> int:
     failure_cycles = _read_failure_cycles(args.failure_cycles)
-    store = OnlineStore.from_table(FeatureTable.from_csv(args.table),
-                                   params=_params_from(args), scaler_kind=_scaler_kind(args))
+    store = OnlineStore.from_csv(args.table, params=_params_from(args),
+                                 scaler_kind=_scaler_kind(args))
     records, skipped = read_records(args.records, strict=not args.lenient)
     if records:
         # one append for the whole file: each append copies the table.

@@ -112,8 +112,13 @@ class Dataset:
     ``task`` is ``"regression"`` (labels stored as an ``(m, n_y)`` float
     array) or ``"classification"`` (labels stored as an ``(m,)`` integer
     array). Arrays are copied and marked read-only, so a Dataset can be
-    shared freely across concurrent readers; the points are stored
-    C-ordered, whatever the layout they were given in.
+    shared freely across concurrent readers.
+
+    The points live in one read-only C-ordered ``(m, n + 1)`` array
+    ``[X | 1]`` whose last column is 1.0: ``points`` is its ``[:, :n]``
+    view, whose rows are contiguous with a stride of n + 1 values, and the
+    whole-table operator ``[X^T; 1]`` is its transpose, so the table is
+    held once whatever layout the points were given in.
 
     Features should be pre-normalized so the bulk of coordinates lies in
     [-1, 1]; the default thresholds assume that scale.
@@ -124,30 +129,35 @@ class Dataset:
     task: str = "regression"
 
     def __post_init__(self):
-        self._freeze(np.array(self.points, dtype=float))
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts.reshape(-1, 1)
+        if pts.ndim != 2:
+            raise InvalidInputError(f"points must be a nonempty 2-D array, got shape {pts.shape}")
+        self._freeze(_with_ones(pts))
 
     @classmethod
-    def _adopt(cls, points: np.ndarray, labels, task: str = "regression") -> "Dataset":
-        """A Dataset that takes ``points``, a fresh float64 array that no
-        caller keeps, as its own instead of copying it; the checks are the
-        constructor's."""
+    def _adopt(cls, rows: np.ndarray, labels, task: str = "regression") -> "Dataset":
+        """A Dataset that takes ``rows``, a fresh C-ordered float64
+        ``(m, n + 1)`` array that no caller keeps, as its own instead of
+        copying it. Its first n columns are the points; its last column is
+        overwritten with ones. The checks are the constructor's."""
         ds = object.__new__(cls)
         object.__setattr__(ds, "labels", labels)
         object.__setattr__(ds, "task", task)
-        ds._freeze(points)
+        ds._freeze(rows)
         return ds
 
-    def _freeze(self, pts: np.ndarray):
-        """Validate ``pts`` and the labels, then store both read-only."""
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+    def _freeze(self, rows: np.ndarray):
+        """Set the last column of ``rows`` to ones, validate the points
+        before it and the labels, then store both read-only."""
+        pts = rows[:, :-1]
+        if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError(f"points must be a nonempty 2-D array, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        rows[:, -1] = 1.0
+        # the contiguous rows are checked at about twice the speed of the view
+        if not np.all(np.isfinite(rows)):
             raise InvalidInputError("points contain non-finite coordinates")
-        # rows are what the distance scan reads, and the whole-table operator
-        # takes its layout, and so its bits, from them
-        pts = np.ascontiguousarray(pts)
 
         if self.task == "regression":
             lab = np.array(self.labels, dtype=float)
@@ -171,9 +181,11 @@ class Dataset:
         if lab.shape[0] != pts.shape[0]:
             raise InvalidInputError(f"{pts.shape[0]} points but {lab.shape[0]} label rows")
 
-        pts.setflags(write=False)
+        rows.setflags(write=False)
         lab.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_rows", rows)
+        # a view taken after the freeze is read-only too
+        object.__setattr__(self, "points", rows[:, :-1])
         object.__setattr__(self, "labels", lab)
 
     @property
@@ -190,11 +202,19 @@ class Dataset:
 
         A query far from every row blends the whole table, and every such
         query on this Dataset shares the operator and its step; an append
-        makes a new Dataset, which builds its own.
+        makes a new Dataset, which builds its own. The operator is a view
+        of the Dataset's own ``[X | 1]`` rows, copied only when n = 1 (see
+        ``_neighborhood``).
         """
-        # the points are C-ordered, as a gather of rows is, so the whole
-        # table is read as one
-        return _neighborhood(self.points)
+        return _neighborhood(self._rows)
+
+
+def _with_ones(points: np.ndarray) -> np.ndarray:
+    """A new C-ordered ``(m, n + 1)`` array ``[points | 1]``."""
+    rows = np.empty((points.shape[0], points.shape[1] + 1))
+    rows[:, :-1] = points
+    rows[:, -1] = 1.0
+    return rows
 
 
 @dataclass(frozen=True)
@@ -295,9 +315,11 @@ def _sq_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distance of every row of ``points`` to ``q``.
 
     The rows are scanned ``_SCAN_BLOCK`` at a time through one reused
-    buffer instead of two table-sized temporaries. Each row is still summed
-    alone by numpy's pairwise reduction, so on C-ordered rows the bits are
-    those of ``np.sum((points - q) ** 2, axis=1)``.
+    C-ordered buffer instead of two table-sized temporaries. Each row is
+    still summed alone by numpy's pairwise reduction over that buffer, so
+    the bits are those of ``np.sum((x - q) ** 2, axis=1)`` for a C-ordered
+    ``x`` holding the same rows, whatever the row stride of ``points`` (a
+    ``Dataset``'s rows are n + 1 values apart).
     """
     m = points.shape[0]
     d2 = np.empty(m)
@@ -305,7 +327,10 @@ def _sq_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     for start in range(0, m, _SCAN_BLOCK):
         stop = min(start + _SCAN_BLOCK, m)
         t = buf[: stop - start]
-        np.subtract(points[start:stop], q, out=t)
+        # a copy, then an in-place difference, reads a strided block as
+        # fast as a contiguous one; a difference into t does not
+        np.copyto(t, points[start:stop])
+        np.subtract(t, q, out=t)
         np.multiply(t, t, out=t)
         np.sum(t, axis=1, out=d2[start:stop])
     return d2
@@ -426,7 +451,8 @@ def _spectral_bound(kmat: np.ndarray) -> float:
 class _Neighborhood:
     """Neighbor rows prepared as the weight solve's operator.
 
-    ``kmat`` is the read-only ``(n + 1, k)`` matrix ``[X^T; 1]`` and
+    ``kmat`` is the read-only ``(n + 1, k)`` matrix ``[X^T; 1]``, the
+    transpose of the rows ``[X | 1]`` (see ``_neighborhood``), and
     ``step`` the solve's gradient step ``1 / L``.
     """
 
@@ -438,13 +464,19 @@ class _Neighborhood:
 
 
 def _neighborhood(rows: np.ndarray) -> _Neighborhood:
-    """Prepare ``(k, n)`` finite rows for the weight solve.
+    """Prepare ``(k, n + 1)`` C-ordered rows ``[X | 1]`` of finite points
+    for the weight solve.
 
-    The memory layout of ``kmat`` follows the rows' and decides the bits of
-    the matrix-vector products, so ``predict_point`` passes C-ordered rows,
-    as a gather of rows gives.
+    ``kmat`` is their transpose, a view, so a ``Dataset``'s whole table
+    needs no second copy and a subset's operator is one gather of its rows.
+    The layout of ``kmat`` decides the bits of the matrix-vector products.
+    For n >= 2 it is the Fortran order of ``np.vstack([X^T, ones])`` of
+    C-ordered rows; for n = 1 that stack is C-ordered, so the ``2 x k``
+    operator is copied to C order.
     """
-    kmat = np.vstack([rows.T, np.ones((1, rows.shape[0]))])
+    kmat = rows.T
+    if rows.shape[1] == 2:
+        kmat = np.ascontiguousarray(kmat)
     kmat.setflags(write=False)
     return _Neighborhood(kmat, 1.0 / _spectral_bound(kmat))
 
@@ -532,7 +564,7 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
         w[exact[0]] = 1.0
         return WeightSolution(w, 0.0, 0.0, 0, True)
 
-    nb = _neighborhood(pts)
+    nb = _neighborhood(_with_ones(pts))
     return _iterate(nb.kmat, nb.step, q, u0, params)
 
 
@@ -732,7 +764,7 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
         if subset.size == dataset.n_points:
             neighborhood = dataset._whole_table
         else:
-            neighborhood = _neighborhood(dataset.points[subset.indices])
+            neighborhood = _neighborhood(dataset._rows[subset.indices])
         solution = solve_weights(neighborhood, q, subset.rbf_values, params)
         last = (solution, subset)
         solved_prefilter_size = prefilter.size

@@ -255,19 +255,26 @@ class FeatureTable:
         The other header names become ``columns``; empty cells are missing (NaN).
         """
         header, data = read_numeric_csv(path)
-        if header[-1:] != [TARGET_COLUMN]:
-            raise IngestionError(
-                f"{path}: header mismatch: the last column must be the target "
-                f"{TARGET_COLUMN!r}, got {header[-1:]}"
-            )
-        targets = data[:, -1]
-        outside = ~((targets >= 0.0) & (targets <= 1.0))
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise IngestionError(
-                f"{path}:{i + 2}: damage fraction must lie in [0, 1], got {targets[i]}"
-            )
-        return cls(data[:, :-1], targets, tuple(header[:-1]))
+        return cls(data[:, :-1], _checked_targets(path, header, data), tuple(header[:-1]))
+
+
+def _checked_targets(path, header: list, data: np.ndarray) -> np.ndarray:
+    """The target column of a parsed table, a view of ``data``; raises an
+    IngestionError unless the header ends in ``D`` and every target lies in
+    [0, 1]."""
+    if header[-1:] != [TARGET_COLUMN]:
+        raise IngestionError(
+            f"{path}: header mismatch: the last column must be the target "
+            f"{TARGET_COLUMN!r}, got {header[-1:]}"
+        )
+    targets = data[:, -1]
+    outside = ~((targets >= 0.0) & (targets <= 1.0))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise IngestionError(
+            f"{path}:{i + 2}: damage fraction must lie in [0, 1], got {targets[i]}"
+        )
+    return targets
 
 
 def _loadtxt_records(path, lines, n_columns: int, blanks: list):
@@ -353,7 +360,7 @@ def _record_from_json(obj: dict) -> MeasurementRecord:
             for c in obj.get("channels", [])
         )
         load = obj.get("load", 0.0)
-        if isinstance(load, bool):
+        if isinstance(load, (bool, str)):
             raise IngestionError(f"malformed record: load {load!r} is not a number")
         return MeasurementRecord(
             coupon_id=str(obj["coupon"]),
@@ -418,15 +425,16 @@ class ImputerSpec:
     medians: np.ndarray
 
 
-# The complete columns' medians are taken about this many bytes of the table
-# at a time, so no table-sized copy is made.
-_MEDIAN_BLOCK_BYTES = 512 * 1024
+# The complete columns' medians, and the standard scaler's statistics, are
+# taken about this many bytes of the table at a time, so no table-sized copy
+# is made.
+_COLUMN_BLOCK_BYTES = 512 * 1024
 
 
 def fit_imputer(table: FeatureTable) -> ImputerSpec:
     """Median of the present (non-NaN) cells per column; 0 for fully missing columns.
 
-    The complete columns are copied ``_MEDIAN_BLOCK_BYTES`` at a time, one
+    The complete columns are copied ``_COLUMN_BLOCK_BYTES`` at a time, one
     column per C-ordered row, and each block's medians are selected in
     place. Selection is exact, so a median does not depend on its block.
     Each gappy column's median is taken over its present cells alone.
@@ -437,7 +445,7 @@ def fit_imputer(table: FeatureTable) -> ImputerSpec:
     gappy = missing.any(axis=0)
     full = np.flatnonzero(~gappy)
     if len(table):
-        step = max(1, _MEDIAN_BLOCK_BYTES // (8 * len(table)))
+        step = max(1, _COLUMN_BLOCK_BYTES // (8 * len(table)))
         for start in range(0, full.size, step):
             cols = full[start : start + step]
             # rows.T[cols] is a fresh C-ordered copy; a column-major block
@@ -450,11 +458,16 @@ def fit_imputer(table: FeatureTable) -> ImputerSpec:
     return ImputerSpec(medians)
 
 
-def apply_imputer(spec: ImputerSpec, rows: np.ndarray) -> np.ndarray:
-    """A C-ordered copy of ``rows`` with each NaN cell set to its column's median."""
-    filled = np.array(rows, dtype=float, order="C")
-    np.copyto(filled, spec.medians, where=np.isnan(filled))
-    return filled
+def apply_imputer(spec: ImputerSpec, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``rows`` with each NaN cell set to its column's median, written to
+    ``out`` when given (``out=rows`` fills in place) and to a new C-ordered
+    array otherwise; returns the result."""
+    if out is None:
+        out = np.array(rows, dtype=float, order="C")
+    else:
+        np.copyto(out, rows)  # numpy copies nothing onto the same memory
+    np.copyto(out, spec.medians, where=np.isnan(out))
+    return out
 
 
 @dataclass(frozen=True)
@@ -473,6 +486,15 @@ class ScalerSpec:
 
 
 def fit_scaler(rows: np.ndarray, kind: str = "minmax_pm1") -> ScalerSpec:
+    """Fit ``kind`` on the complete matrix ``rows``.
+
+    ``standard`` takes each column's mean and standard deviation
+    ``_COLUMN_BLOCK_BYTES`` of the table at a time, so ``std``'s centred
+    temporary is one block, not the table. A block of two or more columns
+    is reduced row by row, as the whole matrix is, so the bits are those
+    of ``x.mean(axis=0)`` and ``x.std(axis=0)``; a one-column block would
+    be summed pairwise, so none is made unless the table has one column.
+    """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise InvalidInputError(f"scaler needs a nonempty 2-D matrix, got shape {x.shape}")
@@ -483,8 +505,15 @@ def fit_scaler(rows: np.ndarray, kind: str = "minmax_pm1") -> ScalerSpec:
         center = 0.5 * (lo + hi)
         scale = 0.5 * (hi - lo)
     elif kind == "standard":
-        center = x.mean(axis=0)
-        scale = x.std(axis=0)
+        center, scale = np.empty(x.shape[1]), np.empty(x.shape[1])
+        step = max(2, _COLUMN_BLOCK_BYTES // (8 * x.shape[0]))
+        edges = list(range(0, x.shape[1], step)) + [x.shape[1]]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]  # the last column joins the block before it
+        for start, stop in zip(edges, edges[1:]):
+            block = x[:, start:stop]
+            center[start:stop] = block.mean(axis=0)
+            scale[start:stop] = block.std(axis=0)
     else:
         raise InvalidInputError(f"unknown scaler kind {kind!r}")
     constant = scale == 0.0
@@ -503,10 +532,10 @@ def apply_scaler(spec: ScalerSpec, rows: np.ndarray, out: np.ndarray | None = No
 class OnlineStore:
     """Append-only feature store serving predictions without any retraining.
 
-    Built by ``from_table``, which fits the imputer and scaler on the table
-    and freezes them; appended rows and queries are normalized with those
-    frozen statistics, so predictions made before an append are never
-    changed by it.
+    Built by ``from_csv`` or ``from_table``, which fit the imputer and
+    scaler on the table and freeze them; appended rows and queries are
+    normalized with those frozen statistics, so predictions made before an
+    append are never changed by it.
 
     The store's state is one immutable ``Dataset``. ``snapshot()`` returns
     it as is, and an append builds the next ``Dataset`` with the new rows
@@ -539,20 +568,52 @@ class OnlineStore:
         Pass ``scaler_kind=None`` to skip scaling (the rows must then
         already be normalized).
 
-        The table is copied once: the imputed copy is scaled in place and
-        becomes the ``Dataset``'s points, so loading holds the caller's
-        table and the store's points and no other table-sized array (the
-        ``standard`` scaler's fit makes one more while it runs). ``table``
-        is not modified.
+        The table is copied once, into the ``Dataset``'s ``[X | 1]`` rows,
+        where it is imputed and scaled in place, so loading holds the
+        caller's table and the store's points and no other table-sized
+        array. ``table`` is not modified.
         """
+        return cls._build(table, None, params, scaler_kind)
+
+    @classmethod
+    def from_csv(
+        cls,
+        path,
+        params: MaxEntParams | None = None,
+        scaler_kind: str | None = "minmax_pm1",
+    ) -> "OnlineStore":
+        """The store ``from_table(FeatureTable.from_csv(path), ...)`` builds,
+        bit for bit, with its errors, but with no copy of the table.
+
+        The parsed ``(m, n + 1)`` array becomes the ``Dataset``'s
+        ``[X | 1]`` rows: the targets ``D`` are copied out, the feature
+        columns are imputed and scaled in place and the ``D`` column is
+        overwritten with ones, so one table-sized array is held from the
+        parse to the last query.
+        """
+        header, data = read_numeric_csv(path)
+        targets = _checked_targets(path, header, data).copy()
+        return cls._build(FeatureTable(data[:, :-1], targets, tuple(header[:-1])),
+                          data, params, scaler_kind)
+
+    @classmethod
+    def _build(cls, table: FeatureTable, rows: np.ndarray | None, params,
+               scaler_kind) -> "OnlineStore":
+        """The store over ``table``, whose imputed, scaled points are written
+        to the first n columns of ``rows``, a fresh C-ordered ``(m, n + 1)``
+        array that the ``Dataset`` adopts: the parsed table that holds
+        ``table.rows`` in those columns, or a new array when ``rows`` is
+        None."""
         imputer = fit_imputer(table)
-        points = apply_imputer(imputer, table.rows)
+        if rows is None:  # made after the medians, so their blocks come first
+            rows = np.empty((len(table), len(table.columns) + 1))
+        points = apply_imputer(imputer, table.rows, out=rows[:, :-1])
         scaler = None
         if scaler_kind is not None:
             scaler = fit_scaler(points, scaler_kind)
             apply_scaler(scaler, points, out=points)
         return cls(table.columns, params or MaxEntParams(), imputer, scaler,
-                   Dataset._adopt(points, table.targets))
+                   Dataset._adopt(rows, table.targets))
 
     def __len__(self) -> int:
         return self._dataset.n_points
@@ -574,9 +635,12 @@ class OnlineStore:
         """Append a ``(k, n)`` matrix of raw feature rows and their ``k``
         targets with one copy of the table; returns the first new row's index."""
         ds = self._dataset
-        # the new Dataset adopts the stack, which no one else holds, as its points
-        self._dataset = Dataset._adopt(np.vstack([ds.points, self.normalize(rows)]),
-                                       np.append(ds.labels, targets))
+        new = np.atleast_2d(self.normalize(rows))
+        # the new Dataset adopts the stack, which no one else holds, as its rows
+        stack = np.empty((ds.n_points + new.shape[0], ds.n_features + 1))
+        stack[: ds.n_points] = ds._rows
+        stack[ds.n_points :, :-1] = new
+        self._dataset = Dataset._adopt(stack, np.append(ds.labels, targets))
         return ds.n_points
 
     def append_row(self, features, target: float) -> int:

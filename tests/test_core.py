@@ -697,6 +697,74 @@ class TestPreparedNeighborhood:
             assert a.extrapolated == b.extrapolated
 
 
+def _vstack_neighborhood(rows):
+    """The operator stacked by ``np.vstack`` from the C-ordered points and
+    a row of ones: the reference whose bits the view of ``[X | 1]`` keeps."""
+    pts = np.ascontiguousarray(rows[:, :-1])
+    kmat = np.vstack([pts.T, np.ones((1, pts.shape[0]))])
+    kmat.setflags(write=False)
+    return maxentnn.core._Neighborhood(kmat, 1.0 / _spectral_bound(kmat))
+
+
+class TestOneTableArray:
+    """A Dataset holds its table once: the points and the whole-table operator
+    are views of one ``[X | 1]`` array, with the bits of a stacked operator."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 530])
+    @pytest.mark.parametrize("m", [1, 2, 40])
+    def test_whole_table_operator_is_a_view_with_the_stacked_strides(self, n, m):
+        rng = np.random.default_rng(n + m)
+        ds = Dataset(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, (m, 1)))
+        kmat = ds._whole_table.kmat
+        stacked = np.vstack([np.ascontiguousarray(ds.points).T, np.ones((1, m))])
+        np.testing.assert_array_equal(kmat, stacked)
+        assert ds.points.strides == (8 * (n + 1), 8)
+        if n == 1:
+            # the 2 x m stack is C-ordered, so the operator is a C-ordered copy
+            assert kmat.flags.c_contiguous
+        else:
+            assert np.shares_memory(kmat, ds.points)
+        if m > 1:  # a one-column operator's column stride is never used
+            assert kmat.strides == stacked.strides
+        assert not kmat.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 530])
+    def test_predictions_match_a_stacked_operator(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        m = 60
+        pts = rng.uniform(-1, 1, (m, n))
+        ds = Dataset(pts, rng.uniform(-1, 1, (m, 2)))
+        # queries inside the cloud, near its edge and far outside it, and a
+        # near-duplicate of a row, whose neighborhood may be one row
+        queries = [rng.uniform(-s, s, n) for s in (0.5, 1.5, 8.0) for _ in range(4)]
+        queries.append(pts[3] + 1e-9)
+        got = [predict_point(ds, q) for q in queries]
+        monkeypatch.setattr(maxentnn.core, "_neighborhood", _vstack_neighborhood)
+        ref_ds = Dataset(pts, ds.labels)
+        want = [predict_point(ref_ds, q) for q in queries]
+        assert any(p.n_neighbors == m for p in want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.value, b.value)
+            assert a.diagnostics() == b.diagnostics()
+            np.testing.assert_array_equal(a.neighbor_indices, b.neighbor_indices)
+            np.testing.assert_array_equal(a.neighbor_weights, b.neighbor_weights)
+            assert a.extrapolated == b.extrapolated
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 530])
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_array_solve_matches_a_stacked_operator(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        pts = rng.uniform(-1, 1, (k, n))
+        q, u0 = rng.uniform(-2, 2, n), rng.uniform(0, 1, k)
+        params = MaxEntParams()
+        got = solve_weights(pts, q, u0, params)
+        nb = _vstack_neighborhood(np.hstack([pts, np.ones((k, 1))]))
+        want = solve_weights(nb, q, u0, params)
+        np.testing.assert_array_equal(got.weights, want.weights)
+        assert (got.residual_error, got.weight_sum_gap, got.iterations) == (
+            want.residual_error, want.weight_sum_gap, want.iterations)
+
+
 def _operators(k: int):
     """Prepared ``[X^T; 1]`` operators of k rows: spread, tightly clustered and all-zero."""
     rng = np.random.default_rng(k)
@@ -930,7 +998,7 @@ class TestPredictPoint:
         pts = rng.uniform(-1, 1, (300, 40))
         labels = rng.uniform(0, 1, (300, 1))
         c_ds, f_ds = Dataset(pts, labels), Dataset(np.asfortranarray(pts), labels)
-        assert f_ds.points.flags.c_contiguous
+        assert f_ds.points.strides[1] == 8
         # the one-shot scan of Fortran-ordered rows sums them in another order
         f_d2 = np.sum((np.asfortranarray(pts) - pts[0] * 0.9) ** 2, axis=1)
         assert not np.array_equal(f_d2, np.sum((pts - pts[0] * 0.9) ** 2, axis=1))
@@ -1085,14 +1153,16 @@ class TestDatasetValidation:
             ds.points[0, 0] = 5.0
 
     def test_adopted_points_are_not_copied_and_are_checked(self):
-        pts = np.array([[0.0, 1.0], [2.0, 3.0]])
-        ds = Dataset._adopt(pts, [0.5, 1.5])
-        assert ds.points is pts and not pts.flags.writeable
+        rows = np.array([[0.0, 1.0, 7.0], [2.0, 3.0, 7.0]])
+        ds = Dataset._adopt(rows, [0.5, 1.5])
+        assert np.shares_memory(ds.points, rows) and not rows.flags.writeable
+        np.testing.assert_array_equal(ds.points, [[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(rows[:, -1], [1.0, 1.0])
         np.testing.assert_array_equal(ds.labels, [[0.5], [1.5]])
         with pytest.raises(InvalidInputError, match="non-finite"):
-            Dataset._adopt(np.array([[np.nan]]), [0.0])
+            Dataset._adopt(np.array([[np.nan, 0.0]]), [0.0])
         with pytest.raises(InvalidInputError, match="label rows"):
-            Dataset._adopt(np.zeros((2, 1)), [0.0])
+            Dataset._adopt(np.zeros((2, 2)), [0.0])
 
     def test_classification_labels_must_be_integral(self):
         with pytest.raises(InvalidInputError):

@@ -396,6 +396,7 @@ class TestRecordIO:
          "2"),
         ("load", {"condition": "loaded", "load": True}, True),
         ("load", {"load": False}, False),
+        ("load", {"condition": "loaded", "load": "12.5"}, "12.5"),
     ]
 
     @pytest.mark.parametrize("name, fields, value", _NOT_NUMBERS)
@@ -636,6 +637,36 @@ class TestScalers:
         with pytest.raises(InvalidInputError):
             fit_scaler(np.ones((2, 2)), "quantile")
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 33])
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("block_columns", [1, 2, 3, 6])
+    def test_blocked_standard_statistics_are_the_whole_matrix_bits(
+            self, m, width, block_columns, monkeypatch):
+        # a block asked for 1 column is 2 wide, and 3 columns in blocks of 2
+        # or 6 in blocks of 5 would leave a 1-column last block
+        monkeypatch.setattr(maxentnn.pipeline, "_COLUMN_BLOCK_BYTES", block_columns * 8 * m)
+        rng = np.random.default_rng(100 * m + width)
+        rows = rng.normal(size=(m, width + 1)) * rng.uniform(0.1, 1e3, size=width + 1)
+        # C-ordered rows and the strided view a Dataset's points are
+        for x in (np.ascontiguousarray(rows[:, :-1]), rows[:, :-1]):
+            spec = fit_scaler(x, "standard")
+            std = x.std(axis=0)
+            np.testing.assert_array_equal(spec.center, x.mean(axis=0))
+            np.testing.assert_array_equal(spec.scale, np.where(std == 0.0, 1.0, std))
+            np.testing.assert_array_equal(spec.constant, std == 0.0)
+
+    def test_a_one_column_block_would_change_the_bits(self):
+        # why no block is one column wide: a lone column is summed pairwise
+        x = np.random.default_rng(4).normal(size=(200, 3)) * 1e3
+        lone = np.ascontiguousarray(x[:, 2:])
+        assert not np.array_equal(x.std(axis=0)[2:], lone.std(axis=0))
+
+    def test_standard_fit_allocates_blocks_not_a_table(self):
+        rows = np.random.default_rng(5).normal(size=(1368, 256))
+        peak = _peak_new_bytes(lambda: fit_scaler(rows, "standard"))
+        # the completeness check's booleans are 1/8 of the table, a block 0.19
+        assert peak <= 0.5 * rows.nbytes
+
 
 class TestImputer:
     def test_median_fill(self):
@@ -752,7 +783,7 @@ class TestOneWorkingCopy:
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 33])
     def test_points_medians_and_scaler_match_one_array_per_step(self, kind, m, monkeypatch):
         # three rows of eight bytes per block: a 40-column table spans many blocks
-        monkeypatch.setattr(maxentnn.pipeline, "_MEDIAN_BLOCK_BYTES", 3 * 8 * m)
+        monkeypatch.setattr(maxentnn.pipeline, "_COLUMN_BLOCK_BYTES", 3 * 8 * m)
         table = _loaded_table(m, 40, seed=m)
         rows_before = table.rows.copy()
         medians, spec, points = _old_store_arrays(table.rows, kind)
@@ -776,7 +807,7 @@ class TestOneWorkingCopy:
         table = _loaded_table(30, 12, seed=6)
         f_table = FeatureTable(np.asfortranarray(table.rows), table.targets, table.columns)
         points = OnlineStore.from_table(f_table).snapshot().points
-        assert points.flags.c_contiguous
+        assert points.strides[1] == 8
         np.testing.assert_array_equal(points, OnlineStore.from_table(table).snapshot().points)
 
     @pytest.mark.parametrize("kind", ["minmax_pm1", "standard"])
@@ -808,6 +839,107 @@ class TestOneWorkingCopy:
         nbytes = FeatureTable.from_csv(path).rows.nbytes
         peak = _peak_new_bytes(lambda: OnlineStore.from_table(FeatureTable.from_csv(path)))
         assert peak <= 2.3 * nbytes
+
+
+def _blank_csv_table(tmp_path, m, width, seed):
+    """``_loaded_table`` written as CSV: blank cells, an all-blank column and
+    two constant columns."""
+    path = tmp_path / f"table_{m}x{width}_{seed}.csv"
+    _loaded_table(m, width, seed).to_csv(path)
+    return path
+
+
+def _assert_same_store(a, b):
+    assert a.columns == b.columns
+    np.testing.assert_array_equal(a.imputer.medians, b.imputer.medians)
+    if b.scaler is None:
+        assert a.scaler is None
+    else:
+        assert a.scaler.kind == b.scaler.kind
+        for field in ("center", "scale", "constant"):
+            np.testing.assert_array_equal(getattr(a.scaler, field), getattr(b.scaler, field))
+    np.testing.assert_array_equal(a.snapshot().points, b.snapshot().points)
+    np.testing.assert_array_equal(a.snapshot().labels, b.snapshot().labels)
+
+
+class TestLoadFromCsv:
+    """``OnlineStore.from_csv`` builds the store ``from_table(FeatureTable.from_csv)``
+    builds, bit for bit and error for error, in the parsed array itself."""
+
+    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
+    @pytest.mark.parametrize("blank", [False, True])
+    def test_store_and_predictions_match_from_table(self, tmp_path, kind, blank):
+        path = _blank_csv_table(tmp_path, 60, 9, seed=7) if blank else _csv_table(tmp_path, 60, 9)
+        a = OnlineStore.from_csv(path, scaler_kind=kind)
+        b = OnlineStore.from_table(FeatureTable.from_csv(path), scaler_kind=kind)
+        _assert_same_store(a, b)
+        rng = np.random.default_rng(11)
+        raw = FeatureTable.from_csv(path).rows
+        # table rows (blanks included), rows near them and queries far outside
+        queries = np.vstack([raw[:4], raw[4:8] + 0.05 * rng.normal(size=(4, 9)),
+                             rng.normal(size=(4, 9)) * 50.0])
+        for q in queries:
+            pa, pb = a.predict(q), b.predict(q)
+            np.testing.assert_array_equal(pa.value, pb.value)
+            assert pa.diagnostics() == pb.diagnostics()
+            np.testing.assert_array_equal(pa.neighbor_indices, pb.neighbor_indices)
+            np.testing.assert_array_equal(pa.neighbor_weights, pb.neighbor_weights)
+
+    def test_rows_are_the_parsed_array(self, tmp_path, monkeypatch):
+        path = _blank_csv_table(tmp_path, 40, 9, seed=2)
+        parsed = []
+        real = maxentnn.pipeline.read_numeric_csv
+
+        def recording(p):
+            header, data = real(p)
+            parsed.append(data)
+            return header, data
+
+        monkeypatch.setattr(maxentnn.pipeline, "read_numeric_csv", recording)
+        ds = OnlineStore.from_csv(path).snapshot()
+        assert np.shares_memory(ds.points, parsed[0])
+        assert np.shares_memory(ds._whole_table.kmat, parsed[0])
+        np.testing.assert_array_equal(parsed[0][:, -1], 1.0)
+        # the targets were copied out before the ones were written
+        np.testing.assert_array_equal(ds.labels[:, 0], FeatureTable.from_csv(path).targets)
+
+    @pytest.mark.parametrize("text", [
+        "x1,y\n0.1,0.5\n",  # the last column is not D
+        "x1,D\n0.1,0.5\n0.2,1.5\n",  # D out of [0, 1] on line 3
+        "x1,D\n0.1,0.5\n0.2,nan\n",  # a non-finite cell
+        "x1,x2,D\n",  # header only
+        "D\n0.5\n",  # no feature column
+    ], ids=["header", "range", "non-finite", "header-only", "no-features"])
+    @pytest.mark.parametrize("kind", ["minmax_pm1", None])
+    def test_errors_match_from_table(self, tmp_path, text, kind):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises((IngestionError, InvalidInputError)) as expected:
+            OnlineStore.from_table(FeatureTable.from_csv(path), scaler_kind=kind)
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            OnlineStore.from_csv(path, scaler_kind=kind)
+
+    def test_range_error_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,D\n0.1,0.5\n0.2,1.5\n")
+        with pytest.raises(IngestionError, match=r":3: damage fraction"):
+            OnlineStore.from_csv(path)
+
+    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard"])
+    def test_load_allocates_about_the_parsed_array(self, tmp_path, kind):
+        values = np.random.default_rng(6).normal(size=(1368, 257))
+        values[:, -1] = np.abs(values[:, -1]) / 10.0
+        values[np.random.default_rng(7).random(values.shape) < 0.01] = np.nan
+        values[:, -1] = np.nan_to_num(values[:, -1])
+        text = io.StringIO()
+        header = ",".join([f"c{j}" for j in range(256)] + ["D"])
+        np.savetxt(text, values, delimiter=",", header=header, comments="")
+        path = tmp_path / "t.csv"
+        path.write_text(text.getvalue().replace("nan", ""))
+        nbytes = read_numeric_csv(path)[1].nbytes
+        peak = _peak_new_bytes(lambda: OnlineStore.from_csv(path, scaler_kind=kind))
+        # from_table(FeatureTable.from_csv) holds two tables: about 2.15x
+        assert peak <= 1.4 * nbytes
 
 
 class TestOnlineStore:
