@@ -225,8 +225,9 @@ def _cmd_append(args) -> int:
                                  scaler_kind=_scaler_kind(args))
     records, skipped = read_records(args.records, strict=not args.lenient)
     if records:
-        # one append for the whole file: each append copies the table.
-        # Missing cells are NaN, which normalize imputes as the table's were
+        # one append for the whole file: it copies the table once into a
+        # buffer with room, then writes only the new rows. Missing cells are
+        # NaN, which normalize imputes as the table's were
         appended = FeatureTable.from_records(records, failure_cycles=failure_cycles)
         store.append_rows(appended.rows, appended.targets)
     print(f"appended={len(records)} skipped={skipped} rows={len(store)} "

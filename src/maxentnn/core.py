@@ -118,7 +118,10 @@ class Dataset:
     ``[X | 1]`` whose last column is 1.0: ``points`` is its ``[:, :n]``
     view, whose rows are contiguous with a stride of n + 1 values, and the
     whole-table operator ``[X^T; 1]`` is its transpose, so the table is
-    held once whatever layout the points were given in.
+    held once whatever layout the points were given in. An ``OnlineStore``
+    snapshot's array is the ``[:m]`` prefix of the store's larger buffer.
+    ``copy.copy`` returns the Dataset itself; a deep copy or an unpickled
+    one holds one new copy of the m rows.
 
     Features should be pre-normalized so the bulk of coordinates lies in
     [-1, 1]; the default thresholds assume that scale.
@@ -180,13 +183,39 @@ class Dataset:
 
         if lab.shape[0] != pts.shape[0]:
             raise InvalidInputError(f"{pts.shape[0]} points but {lab.shape[0]} label rows")
+        self._hold(rows, lab)
 
+    @classmethod
+    def _prefix(cls, rows: np.ndarray, labels: np.ndarray, m: int) -> "Dataset":
+        """A regression Dataset over the first m rows of two C-ordered
+        buffers, ``[X | 1]`` rows and their ``(capacity, n_y)`` labels,
+        whose first m rows the caller has checked as the constructor
+        would. It holds read-only ``[:m]`` views, which have the strides of
+        an exact-sized array, and checks nothing again; rows written past m
+        later do not change it."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "task", "regression")
+        ds._hold(rows[:m], labels[:m])
+        return ds
+
+    def _hold(self, rows: np.ndarray, labels: np.ndarray):
+        """Store checked ``[X | 1]`` rows and labels read-only."""
         rows.setflags(write=False)
-        lab.setflags(write=False)
+        labels.setflags(write=False)
         object.__setattr__(self, "_rows", rows)
         # a view taken after the freeze is read-only too
         object.__setattr__(self, "points", rows[:, :-1])
-        object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "labels", labels)
+
+    def __copy__(self) -> "Dataset":
+        # immutable: a shallow copy is the Dataset itself
+        return self
+
+    def __reduce__(self):
+        # a deep copy or an unpickled Dataset adopts one copy of its own
+        # rows (a snapshot's m rows, not its buffer's), so the points stay a
+        # read-only view of the one array
+        return _rebuilt, (self._rows, self.labels, self.task)
 
     @property
     def n_points(self) -> int:
@@ -207,6 +236,13 @@ class Dataset:
         ``_neighborhood``).
         """
         return _neighborhood(self._rows)
+
+
+def _rebuilt(rows: np.ndarray, labels, task: str) -> Dataset:
+    """The Dataset of a deep copy or an unpickling; ``rows`` is the copy of
+    ``_rows`` that the copy made, or a read-only view of a pickle's bytes,
+    which is copied."""
+    return Dataset._adopt(rows if rows.flags.writeable else rows.copy(), labels, task)
 
 
 def _with_ones(points: np.ndarray) -> np.ndarray:

@@ -272,9 +272,24 @@ def _checked_targets(path, header: list, data: np.ndarray) -> np.ndarray:
     if outside.any():
         i = int(np.argmax(outside))
         raise IngestionError(
-            f"{path}:{i + 2}: damage fraction must lie in [0, 1], got {targets[i]}"
+            f"{path}:{_record_line(path, i)}: damage fraction must lie in [0, 1], "
+            f"got {targets[i]}"
         )
     return targets
+
+
+def _record_line(path, index: int) -> int:
+    """The file line on which body record ``index`` (from 0) starts.
+
+    A quoted cell may run over lines, so the header and the records before
+    it are read again with ``csv``, which counts the lines they span. Only
+    an error pays for the count.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in itertools.islice(reader, index + 1):
+            pass
+        return reader.line_num + 1
 
 
 def _loadtxt_records(path, lines, n_columns: int, blanks: list):
@@ -286,7 +301,7 @@ def _loadtxt_records(path, lines, n_columns: int, blanks: list):
     with every cell quoted. A blank line or a record without ``n_columns``
     cells raises an IngestionError naming its line.
     """
-    for lineno, line in enumerate(lines, start=2):
+    for index, line in enumerate(lines):
         n, blank = line.count(",") + 1, 0
         if '"' in line:
             cells = next(csv.reader(itertools.chain([line], lines)))
@@ -300,7 +315,7 @@ def _loadtxt_records(path, lines, n_columns: int, blanks: list):
             blank = cells.count("")
             line = ",".join([c or "nan" for c in cells])
         if n != n_columns:
-            raise IngestionError(f"{path}:{lineno}: expected {n_columns} cells")
+            raise IngestionError(f"{path}:{_record_line(path, index)}: expected {n_columns} cells")
         blanks.append(blank)
         yield line
 
@@ -311,7 +326,7 @@ def read_numeric_csv(path):
     Empty cells become NaN (missing). Any other cell must be a finite
     number in numpy's float grammar: text such as ``abc``, ``inf``,
     ``nan``, ``1_0`` or a non-ASCII digit raises an IngestionError naming
-    its line. Lines are numbered by record, the header being line 1.
+    the file line on which its record starts.
 
     The body is parsed in one ``np.loadtxt`` pass, whose lines are
     rewritten on the way only where a cell is empty or quoted.
@@ -332,13 +347,13 @@ def read_numeric_csv(path):
             cell = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc), re.DOTALL)
             if cell is None:
                 raise IngestionError(f"{path}: {exc}") from None
-            raise IngestionError(
-                f"{path}:{int(cell[2]) + 2}: {cell[1]} in column {cell[3]}") from None
+            raise IngestionError(f"{path}:{_record_line(path, int(cell[2]))}: "
+                                 f"{cell[1]} in column {cell[3]}") from None
     # a NaN that is not an empty field came from text such as "nan"
     non_finite = np.isinf(data).any(axis=1) | (np.isnan(data).sum(axis=1) != blanks)
     if non_finite.any():
         raise IngestionError(
-            f"{path}:{int(np.argmax(non_finite)) + 2}: non-finite number; "
+            f"{path}:{_record_line(path, int(np.argmax(non_finite)))}: non-finite number; "
             "only empty fields mark missing cells"
         )
     return header, data
@@ -529,6 +544,11 @@ def apply_scaler(spec: ScalerSpec, rows: np.ndarray, out: np.ndarray | None = No
     return np.divide(out, spec.scale, out=out)
 
 
+# A full buffer is replaced by one this many times the rows it must then
+# hold, so a stream of single-row appends copies the table O(log m) times.
+_GROWTH = 1.5
+
+
 class OnlineStore:
     """Append-only feature store serving predictions without any retraining.
 
@@ -537,12 +557,19 @@ class OnlineStore:
     normalized with those frozen statistics, so predictions made before an
     append are never changed by it.
 
-    The store's state is one immutable ``Dataset``. ``snapshot()`` returns
-    it as is, and an append builds the next ``Dataset`` with the new rows
-    and swaps it in. One writer may append while readers predict: a
-    reader keeps whatever ``Dataset`` it read, which no append changes.
-    Each append copies the whole table, so a batch of rows goes in with
-    one ``append_rows`` rather than row by row.
+    The store's state is one immutable ``Dataset``, which ``snapshot()``
+    returns as is. The built store's ``Dataset`` holds the exact-sized
+    table. The first append moves the rows and labels to a buffer with
+    spare rows at the end (``_GROWTH`` times the rows then held), and every
+    snapshot after it is a ``Dataset`` over read-only ``[:m]`` views of
+    that buffer. An append writes its k rows past the end of every
+    snapshot, checks only them and swaps in the longer prefix, so it costs
+    O(k·n), not O(m·n). A full buffer is copied into a larger one, and
+    older snapshots keep the old buffer. A copy of the store, shallow or
+    deep, or an unpickled one, starts without a buffer and makes its own on
+    its first append, so no two stores write into one buffer. One writer
+    may append while readers predict: a reader keeps whatever ``Dataset``
+    it read, which no append changes.
     """
 
     # nothing is ever refitted; kept for callers that report the refit count
@@ -555,6 +582,11 @@ class OnlineStore:
         self.imputer = imputer
         self.scaler = scaler
         self._dataset = dataset
+        self._buffer = None  # (rows, labels), made by the first append
+
+    def __getstate__(self):
+        # copies and pickles leave the buffer behind (see the class)
+        return {**self.__dict__, "_buffer": None}
 
     @classmethod
     def from_table(
@@ -621,7 +653,7 @@ class OnlineStore:
     def normalize(self, features) -> np.ndarray:
         """Impute and scale one raw row, or a ``(k, n)`` matrix of raw
         queries, as the table's rows were."""
-        # no copy: no caller keeps the result; an append stacks it into a new table
+        # no copy: no caller keeps the result; an append copies it into the buffer
         x = np.asarray(features, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != len(self.columns):
             raise IngestionError(f"expected {len(self.columns)} features, got shape {x.shape}")
@@ -633,15 +665,36 @@ class OnlineStore:
 
     def append_rows(self, rows, targets) -> int:
         """Append a ``(k, n)`` matrix of raw feature rows and their ``k``
-        targets with one copy of the table; returns the first new row's index."""
+        targets; returns the first new row's index.
+
+        The k rows are normalized, written past the snapshot's end and
+        checked there, so an append costs O(k·n) whatever the store's size,
+        except when the buffer is made or replaced (see the class). An error
+        leaves the store as it was.
+        """
         ds = self._dataset
+        m = ds.n_points
         new = np.atleast_2d(self.normalize(rows))
-        # the new Dataset adopts the stack, which no one else holds, as its rows
-        stack = np.empty((ds.n_points + new.shape[0], ds.n_features + 1))
-        stack[: ds.n_points] = ds._rows
-        stack[ds.n_points :, :-1] = new
-        self._dataset = Dataset._adopt(stack, np.append(ds.labels, targets))
-        return ds.n_points
+        labels = np.asarray(targets, dtype=float).reshape(-1, 1)
+        end = m + new.shape[0]
+        if self._buffer is None or end > len(self._buffer[0]):
+            capacity = max(end, int(_GROWTH * end))
+            rows_buf, labels_buf = np.empty((capacity, ds.n_features + 1)), np.empty((capacity, 1))
+            rows_buf[:m], labels_buf[:m] = ds._rows, ds.labels
+            self._buffer = rows_buf, labels_buf
+        rows_buf, labels_buf = self._buffer
+        block = rows_buf[m:end]
+        block[:, :-1] = new
+        block[:, -1] = 1.0
+        if not np.all(np.isfinite(block)):
+            raise InvalidInputError("points contain non-finite coordinates")
+        if not np.all(np.isfinite(labels)):
+            raise InvalidInputError("labels contain non-finite values")
+        if labels.shape[0] != new.shape[0]:
+            raise InvalidInputError(f"{end} points but {m + labels.shape[0]} label rows")
+        labels_buf[m:end] = labels
+        self._dataset = Dataset._prefix(rows_buf, labels_buf, end)
+        return m
 
     def append_row(self, features, target: float) -> int:
         """Append one feature row; returns its row index."""
@@ -650,7 +703,8 @@ class OnlineStore:
         return self.append_rows(features, [target])
 
     def snapshot(self) -> Dataset:
-        """The store's current immutable Dataset; an append replaces it."""
+        """The store's current immutable Dataset; an append replaces it
+        with a longer one and leaves this one as it is."""
         return self._dataset
 
     def predict(self, features) -> Prediction:

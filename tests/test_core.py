@@ -750,6 +750,36 @@ class TestOneTableArray:
             np.testing.assert_array_equal(a.neighbor_weights, b.neighbor_weights)
             assert a.extrapolated == b.extrapolated
 
+    @pytest.mark.parametrize("n", [1, 2, 530])
+    def test_appended_snapshot_matches_a_dataset_of_its_rows(self, n):
+        rng = np.random.default_rng(n)
+        m = 30
+        table = FeatureTable(rng.uniform(-1, 1, (m, n)), rng.uniform(0, 1, m),
+                             columns=tuple(f"x{j}" for j in range(n)))
+        store = OnlineStore.from_table(table, scaler_kind=None)
+        store.append_rows(rng.uniform(-1, 1, (5, n)), rng.uniform(0, 1, 5))
+        for row in rng.uniform(-1, 1, (4, n)):
+            store.append_row(row, float(rng.uniform()))
+        ds = store.snapshot()
+        assert ds._rows.base.shape[0] > ds.n_points == m + 9  # a prefix of a buffer
+        ref = Dataset(np.array(ds.points), np.array(ds.labels))
+        assert ds.points.strides == ref.points.strides == (8 * (n + 1), 8)
+        assert ds.labels.strides == ref.labels.strides
+        kmat, ref_kmat = ds._whole_table.kmat, ref._whole_table.kmat
+        np.testing.assert_array_equal(kmat, ref_kmat)
+        assert kmat.strides == ref_kmat.strides
+        assert kmat.flags.c_contiguous == ref_kmat.flags.c_contiguous
+        assert ds._whole_table.step == ref._whole_table.step
+        queries = [rng.uniform(-s, s, n) for s in (0.5, 1.5, 8.0) for _ in range(3)]
+        queries.append(ds.points[m + 3] + 1e-9)
+        for q in queries:
+            a, b = predict_point(ds, q), predict_point(ref, q)
+            np.testing.assert_array_equal(a.value, b.value)
+            assert a.diagnostics() == b.diagnostics()
+            np.testing.assert_array_equal(a.neighbor_indices, b.neighbor_indices)
+            np.testing.assert_array_equal(a.neighbor_weights, b.neighbor_weights)
+            assert a.extrapolated == b.extrapolated
+
     @pytest.mark.parametrize("n", [1, 2, 5, 530])
     @pytest.mark.parametrize("k", [1, 2, 9])
     def test_array_solve_matches_a_stacked_operator(self, n, k):

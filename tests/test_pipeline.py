@@ -1,8 +1,11 @@
 """Feature pipeline tests: record assembly, table CSV, scaling, online store."""
 
+import copy
 import csv
 import io
 import json
+import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -18,6 +21,7 @@ from maxentnn import (
     stiffness_feature_row,
 )
 import maxentnn.pipeline
+from maxentnn.core import Dataset, predict_point
 from maxentnn.errors import DegenerateBaselineError, IngestionError, InvalidInputError
 from maxentnn.pipeline import (
     ChannelMeasurement,
@@ -443,21 +447,26 @@ class TestFeatureTableCsv:
 
 def _cell_by_cell_read(path):
     """The parser ``read_numeric_csv`` used before its one ``np.loadtxt`` pass,
-    kept verbatim as the reference: ``csv.reader`` splits each record and
-    every cell goes through ``float``."""
+    kept as the reference: ``csv.reader`` splits each record and every cell
+    goes through ``float``. An error names the file line on which its
+    record starts, which ``csv.reader.line_num`` counts across quoted line
+    breaks."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise IngestionError(f"{path}: empty file")
-        rows, blanks = [], []
-        for lineno, cells in enumerate(reader, start=2):
+        rows, blanks, starts = [], [], []
+        lineno = reader.line_num + 1
+        for cells in reader:
+            starts.append(lineno)
+            lineno = reader.line_num + 1
             if len(cells) != len(header):
-                raise IngestionError(f"{path}:{lineno}: expected {len(header)} cells")
+                raise IngestionError(f"{path}:{starts[-1]}: expected {len(header)} cells")
             try:
                 rows.append([float(c) if c != "" else np.nan for c in cells])
             except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: {exc}") from None
+                raise IngestionError(f"{path}:{starts[-1]}: {exc}") from None
             blanks.append(cells.count(""))
     data = np.array(rows, dtype=float) if rows else np.zeros((0, len(header)))
     # checked on the parsed array, off the per-cell path: a NaN that is not
@@ -465,7 +474,7 @@ def _cell_by_cell_read(path):
     non_finite = np.isinf(data).any(axis=1) | (np.isnan(data).sum(axis=1) != blanks)
     if non_finite.any():
         raise IngestionError(
-            f"{path}:{int(np.argmax(non_finite)) + 2}: non-finite number; "
+            f"{path}:{starts[int(np.argmax(non_finite))]}: non-finite number; "
             "only empty fields mark missing cells"
         )
     return header, data
@@ -584,6 +593,19 @@ class TestReadNumericCsv:
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1,2\n3,\n5,6\n7,abc\n")
         with pytest.raises(IngestionError, match=r"t\.csv:5: could not convert string 'abc'"):
+            read_numeric_csv(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ('a,"b\nc"\n1,x\n', 3),  # a header quoted over two lines
+        ('a,b\n1,"2\n"\n3,x\n', 4),  # a body cell quoted over two lines
+        ('a,b\n"1\n",2\n3\n', 4),  # then a record of one cell
+        ('a,b\n1,"2\n"\n3,nan\n', 4),  # then a non-finite cell
+        ('a,b\n1,"2\n3"\n', 2),  # the quoted cell itself: its record's first line
+    ])
+    def test_errors_name_the_file_line_after_quoted_line_breaks(self, tmp_path, text, line):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(IngestionError, match=rf"t\.csv:{line}: "):
             read_numeric_csv(path)
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11.5"])
@@ -925,6 +947,17 @@ class TestLoadFromCsv:
         with pytest.raises(IngestionError, match=r":3: damage fraction"):
             OnlineStore.from_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        '"x\n1",D\n0.1,0.5\n0.2,1.5\n',  # a header cell quoted over two lines
+        'x1,D\n0.1,"0.5\n"\n0.2,1.5\n',  # a target quoted over two lines
+    ])
+    def test_range_error_names_the_file_line_after_quoted_line_breaks(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        for load in (OnlineStore.from_csv, FeatureTable.from_csv):
+            with pytest.raises(IngestionError, match=r":4: damage fraction"):
+                load(path)
+
     @pytest.mark.parametrize("kind", ["minmax_pm1", "standard"])
     def test_load_allocates_about_the_parsed_array(self, tmp_path, kind):
         values = np.random.default_rng(6).normal(size=(1368, 257))
@@ -1115,6 +1148,208 @@ class TestOnlineStore:
         with pytest.raises(IngestionError, match="one row"):
             store.append_row(np.zeros((1, 6)), target=0.5)
         assert len(store) == 10
+
+
+def _predict_bits(ds, query):
+    """Everything a prediction on ``ds`` reports, to compare bit for bit."""
+    p = predict_point(ds, query)
+    return (p.value.tobytes(), p.neighbor_indices.tobytes(), p.neighbor_weights.tobytes(),
+            tuple(sorted(p.diagnostics().items())), p.extrapolated)
+
+
+def _buffer_of(ds):
+    """The array a snapshot's rows are a prefix of."""
+    return ds._rows if ds._rows.base is None else ds._rows.base
+
+
+class TestAppendInPlace:
+    """Appends write past the end of every snapshot into one buffer with
+    spare rows; each snapshot is a read-only prefix view of it."""
+
+    def test_snapshots_keep_their_bits_across_appends_and_a_reallocation(self):
+        rng = np.random.default_rng(40)
+        store = OnlineStore.from_table(random_table(m=12, seed=4))
+        query = rng.normal(size=6)
+        snaps = [store.snapshot()]
+        for i in range(30):  # enough to fill the first buffer and move to a second
+            store.append_row(rng.normal(size=6), float(i) / 30.0)
+            snaps.append(store.snapshot())
+        buffers = []
+        for s in snaps[1:]:
+            if not any(_buffer_of(s) is b for b in buffers):
+                buffers.append(_buffer_of(s))
+        assert len(buffers) >= 2
+        kept = [(s.points.copy(), s.labels.copy(), _predict_bits(s, query)) for s in snaps]
+        for _ in range(40):
+            store.append_row(rng.normal(size=6), 0.5)
+        for s, (points, labels, bits) in zip(snaps, kept):
+            np.testing.assert_array_equal(s.points, points)
+            np.testing.assert_array_equal(s.labels, labels)
+            assert _predict_bits(s, query) == bits
+            for array in (s.points, s.labels, s._rows):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0, 0] = 1.0
+
+    def test_a_rejected_append_leaves_the_buffer_usable(self):
+        store = OnlineStore.from_table(random_table(m=10, seed=2))
+        store.append_row(np.zeros(6), 0.25)  # the buffer now has spare rows
+        before = store.snapshot()
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            store.append_row(np.ones(6), target=np.inf)
+        with pytest.raises(InvalidInputError, match="12 points but 13 label rows"):
+            store.append_rows(np.ones(6), [0.5, 0.5])
+        assert store.snapshot() is before
+        assert store.append_row(np.full(6, 0.5), 0.75) == 11
+        after = store.snapshot()
+        assert _buffer_of(after) is _buffer_of(before)
+        np.testing.assert_array_equal(after.points[11], store.normalize(np.full(6, 0.5)))
+        assert after.labels[11, 0] == 0.75
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
+    def test_copies_append_without_seeing_each_other(self, clone):
+        store = OnlineStore.from_table(random_table(m=10, seed=2))
+        store.append_row(np.zeros(6), 0.25)
+        buffer = _buffer_of(store.snapshot())
+        twin = clone(store)
+        assert (twin.snapshot() is store.snapshot()) == (clone is copy.copy)
+        store.append_row(np.full(6, 0.5), 0.5)
+        twin.append_rows(np.full((2, 6), -0.5), [0.75, 0.8])
+        store.append_row(np.full(6, 0.6), 0.6)
+        a, b = store.snapshot(), twin.snapshot()
+        assert (a.n_points, b.n_points) == (13, 13)
+        np.testing.assert_array_equal(a.points[:11], b.points[:11])
+        ours = np.array([[0.5] * 6, [0.6] * 6])
+        np.testing.assert_array_equal(a.points[11:], store.normalize(ours))
+        np.testing.assert_array_equal(b.points[11:], store.normalize(np.full((2, 6), -0.5)))
+        assert a.labels[11:, 0].tolist() == [0.5, 0.6]
+        assert b.labels[11:, 0].tolist() == [0.75, 0.8]
+        # the store kept its buffer; the copy made its own
+        assert _buffer_of(a) is buffer
+        assert not np.shares_memory(a._rows, b._rows)
+
+    def test_one_appender_and_two_readers_match_a_serial_run(self):
+        import sys
+        import threading
+
+        rng = np.random.default_rng(41)
+        table = random_table(m=20, width=4, seed=31)
+        rows, targets = rng.normal(size=(60, 4)), rng.uniform(0, 1, 60)
+        queries = rng.normal(size=(2, 4)) * np.array([[1.0], [6.0]])  # near, and far off
+        serial = OnlineStore.from_table(table)
+        want = {20: [_predict_bits(serial.snapshot(), serial.normalize(q)) for q in queries]}
+        for row, target in zip(rows, targets):
+            serial.append_row(row, target)
+            want[len(serial)] = [_predict_bits(serial.snapshot(), serial.normalize(q))
+                                 for q in queries]
+
+        store = OnlineStore.from_table(table)
+        done = threading.Event()
+        seen = [[], []]
+        errors = []
+
+        def reader(j):
+            q = store.normalize(queries[j])
+            try:
+                while True:
+                    last = done.is_set()
+                    snap = store.snapshot()
+                    seen[j].append((snap.n_points, _predict_bits(snap, q)))
+                    if last:
+                        return
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(j,)) for j in range(2)]
+            for t in threads:
+                t.start()
+            for row, target in zip(rows, targets):
+                store.append_row(row, target)
+            done.set()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for j in range(2):
+            assert seen[j][-1][0] == 80
+            for n_points, bits in seen[j]:
+                assert bits == want[n_points][j]
+
+    def test_an_append_with_spare_rows_allocates_a_few_rows(self):
+        rng = np.random.default_rng(42)
+        table = FeatureTable(rng.normal(size=(2000, 530)), rng.uniform(0, 1, 2000))
+        store = OnlineStore.from_table(table)
+        store.append_row(rng.normal(size=530), 0.5)  # moves the rows to a buffer with room
+        rows = rng.normal(size=(2, 530))
+        buffer = _buffer_of(store.snapshot())
+        store.append_row(rows[0], 0.5)  # first-call allocations are not the append's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            store.append_row(rows[1], 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert _buffer_of(store.snapshot()) is buffer
+        # a copy of the table would be 2003 x 531 x 8 bytes, about 8.5 MB
+        assert peak <= 4 * 531 * 8
+
+    def test_a_thousand_appends_reallocate_logarithmically_often(self):
+        rng = np.random.default_rng(43)
+        store = OnlineStore.from_table(random_table(m=10, seed=5))
+        buffers = [_buffer_of(store.snapshot())]
+        for row in rng.normal(size=(1000, 6)):
+            store.append_row(row, 0.5)
+            if _buffer_of(store.snapshot()) is not buffers[-1]:
+                buffers.append(_buffer_of(store.snapshot()))
+        # one buffer per append would be 1000; geometric growth from 11 rows
+        # to 1010 needs about log(1010 / 11) / log(1.5), 12
+        assert len(buffers) - 1 <= 2 * math.log2(1010)
+
+
+class TestDatasetCopies:
+    """A deep copy or an unpickled Dataset holds one read-only array, whose
+    points are a view of its rows, and predicts as the original."""
+
+    @staticmethod
+    def _datasets(tmp_path):
+        rng = np.random.default_rng(44)
+        yield Dataset(rng.uniform(-1, 1, (25, 3)), rng.uniform(0, 1, (25, 1)))
+        yield OnlineStore.from_csv(_blank_csv_table(tmp_path, 30, 9, seed=3)).snapshot()
+        store = OnlineStore.from_table(random_table(m=20, width=5, seed=6))
+        store.append_rows(rng.normal(size=(3, 5)), [0.1, 0.2, 0.3])
+        yield store.snapshot()
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle-2", "pickle-5"])
+    def test_copies_share_one_read_only_array_and_predict_the_same_bits(self, tmp_path, how):
+        rng = np.random.default_rng(45)
+        for ds in self._datasets(tmp_path):
+            if how == "deepcopy":
+                c = copy.deepcopy(ds)
+            else:
+                # protocol 5 unpickles a read-only array as a view of the pickle's bytes
+                c = pickle.loads(pickle.dumps(ds, protocol=int(how[-1])))
+            assert c is not ds
+            assert c._rows.shape == ds._rows.shape  # m rows, not a buffer's capacity
+            assert np.shares_memory(c.points, c._rows)
+            assert not np.shares_memory(c._rows, ds._rows)
+            for array in (c.points, c.labels, c._rows):
+                assert not array.flags.writeable
+            np.testing.assert_array_equal(c._rows[:, -1], 1.0)
+            assert c.points.strides == ds.points.strides
+            np.testing.assert_array_equal(c.labels, ds.labels)
+            for q in rng.uniform(-2, 2, (4, ds.n_features)):
+                assert _predict_bits(c, q) == _predict_bits(ds, q)
+
+    def test_a_shallow_copy_is_the_dataset_itself(self, tmp_path):
+        for ds in self._datasets(tmp_path):
+            assert copy.copy(ds) is ds
 
 
 class TestScalerAbsorbsAffineTransforms:
