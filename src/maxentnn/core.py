@@ -78,9 +78,10 @@ class MaxEntParams:
             "q1_initial_error",
             "q2_hfilter_increment",
         )
+        # a bool is an int, but True is no count or tolerance
         for name in positive:
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ParameterError(f"{name} must be strictly positive and finite, got {v!r}")
         for name in ("threshold_filter", "threshold_entropy"):
             if getattr(self, name) >= 1.0:
@@ -88,7 +89,7 @@ class MaxEntParams:
         counts = ("it_convergence", "it_local_min", "sweep_points", "max_minconvex_rounds")
         for name in counts:
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
+            if isinstance(v, bool) or not (isinstance(v, int) and v >= 1):
                 raise ParameterError(f"{name} must be an integer >= 1, got {v!r}")
         if self.sweep_points < 2:
             raise ParameterError("sweep_points must be >= 2 to bracket a bandwidth optimum")
@@ -105,23 +106,23 @@ def _as_point(values, n_features: int | None = None, name: str = "query") -> np.
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable training set: one feature row per point, plus labels.
 
     ``task`` is ``"regression"`` (labels stored as an ``(m, n_y)`` float
     array) or ``"classification"`` (labels stored as an ``(m,)`` integer
-    array). Arrays are copied and marked read-only, so a Dataset can be
-    shared freely across concurrent readers.
+    array). Arrays are copied, checked by ``_checked_rows`` and marked
+    read-only, so a Dataset can be shared freely across concurrent readers;
+    like ``Prediction``, it compares and hashes by identity.
 
     The points live in one read-only C-ordered ``(m, n + 1)`` array
     ``[X | 1]`` whose last column is 1.0: ``points`` is its ``[:, :n]``
     view, whose rows are contiguous with a stride of n + 1 values, and the
     whole-table operator ``[X^T; 1]`` is its transpose, so the table is
     held once whatever layout the points were given in. An ``OnlineStore``
-    snapshot's array is the ``[:m]`` prefix of the store's larger buffer.
-    ``copy.copy`` returns the Dataset itself; a deep copy or an unpickled
-    one holds one new copy of the m rows.
+    makes its snapshots with ``_prefix``. ``copy.copy`` returns the Dataset
+    itself; a deep copy or an unpickled one is rebuilt by the constructor.
 
     Features should be pre-normalized so the bulk of coordinates lies in
     [-1, 1]; the default thresholds assume that scale.
@@ -137,62 +138,17 @@ class Dataset:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
             raise InvalidInputError(f"points must be a nonempty 2-D array, got shape {pts.shape}")
-        self._freeze(_with_ones(pts))
-
-    @classmethod
-    def _adopt(cls, rows: np.ndarray, labels, task: str = "regression") -> "Dataset":
-        """A Dataset that takes ``rows``, a fresh C-ordered float64
-        ``(m, n + 1)`` array that no caller keeps, as its own instead of
-        copying it. Its first n columns are the points; its last column is
-        overwritten with ones. The checks are the constructor's."""
-        ds = object.__new__(cls)
-        object.__setattr__(ds, "labels", labels)
-        object.__setattr__(ds, "task", task)
-        ds._freeze(rows)
-        return ds
-
-    def _freeze(self, rows: np.ndarray):
-        """Set the last column of ``rows`` to ones, validate the points
-        before it and the labels, then store both read-only."""
-        pts = rows[:, :-1]
-        if pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise InvalidInputError(f"points must be a nonempty 2-D array, got shape {pts.shape}")
-        rows[:, -1] = 1.0
-        # the contiguous rows are checked at about twice the speed of the view
-        if not np.all(np.isfinite(rows)):
-            raise InvalidInputError("points contain non-finite coordinates")
-
-        if self.task == "regression":
-            lab = np.array(self.labels, dtype=float)
-            if lab.ndim == 1:
-                lab = lab.reshape(-1, 1)
-            if lab.ndim != 2 or lab.shape[1] < 1:
-                raise InvalidInputError(f"regression labels must be (m, n_y), got shape {lab.shape}")
-            if not np.all(np.isfinite(lab)):
-                raise InvalidInputError("labels contain non-finite values")
-        elif self.task == "classification":
-            raw = np.asarray(self.labels)
-            if raw.ndim != 1:
-                raise InvalidInputError(f"classification labels must be 1-D, got shape {raw.shape}")
-            if raw.dtype.kind == "f":
-                if not np.all(np.isfinite(raw)) or not np.all(raw == np.round(raw)):
-                    raise InvalidInputError("class ids must be integral")
-            lab = raw.astype(np.int64)
-        else:
-            raise InvalidInputError(f"unknown task {self.task!r}")
-
-        if lab.shape[0] != pts.shape[0]:
-            raise InvalidInputError(f"{pts.shape[0]} points but {lab.shape[0]} label rows")
-        self._hold(rows, lab)
+        rows = _with_ones(pts)
+        self._hold(rows, _checked_rows(rows, self.labels, self.task))
 
     @classmethod
     def _prefix(cls, rows: np.ndarray, labels: np.ndarray, m: int) -> "Dataset":
         """A regression Dataset over the first m rows of two C-ordered
-        buffers, ``[X | 1]`` rows and their ``(capacity, n_y)`` labels,
-        whose first m rows the caller has checked as the constructor
-        would. It holds read-only ``[:m]`` views, which have the strides of
-        an exact-sized array, and checks nothing again; rows written past m
-        later do not change it."""
+        arrays, ``[X | 1]`` rows and their labels, whose first m rows
+        ``_checked_rows`` has passed: an ``OnlineStore``'s built table or
+        the prefix of its buffer. It holds read-only ``[:m]`` views, which
+        have the strides of an exact-sized array; rows written past m later
+        do not change it."""
         ds = object.__new__(cls)
         object.__setattr__(ds, "task", "regression")
         ds._hold(rows[:m], labels[:m])
@@ -211,11 +167,13 @@ class Dataset:
         # immutable: a shallow copy is the Dataset itself
         return self
 
+    def __deepcopy__(self, memo) -> "Dataset":
+        # the constructor makes the one copy; deep-copying its arguments first would be a second
+        return type(self)(self.points, self.labels, self.task)
+
     def __reduce__(self):
-        # a deep copy or an unpickled Dataset adopts one copy of its own
-        # rows (a snapshot's m rows, not its buffer's), so the points stay a
-        # read-only view of the one array
-        return _rebuilt, (self._rows, self.labels, self.task)
+        # the constructor copies a snapshot's m rows, not its buffer
+        return type(self), (self.points, self.labels, self.task)
 
     @property
     def n_points(self) -> int:
@@ -238,11 +196,52 @@ class Dataset:
         return _neighborhood(self._rows)
 
 
-def _rebuilt(rows: np.ndarray, labels, task: str) -> Dataset:
-    """The Dataset of a deep copy or an unpickling; ``rows`` is the copy of
-    ``_rows`` that the copy made, or a read-only view of a pickle's bytes,
-    which is copied."""
-    return Dataset._adopt(rows if rows.flags.writeable else rows.copy(), labels, task)
+def _checked_rows(rows: np.ndarray, labels, task: str, start: int = 0) -> np.ndarray:
+    """Check a ``Dataset``'s C-ordered ``(m, n + 1)`` rows ``[X | 1]`` from
+    row ``start`` on, whose last column is set to ones here, and the labels
+    of those rows; returns the labels as a ``Dataset`` stores them.
+
+    The rules: at least one point and one feature, finite rows, labels that
+    fit ``task`` and one label row per point. The constructor, the
+    ``OnlineStore`` build and its appends all check here; an append passes
+    its k rows' start, so it pays O(k·n).
+    """
+    pts = rows[:, :-1]
+    if pts.shape[0] < 1 or pts.shape[1] < 1:
+        raise InvalidInputError(f"points must be a nonempty 2-D array, got shape {pts.shape}")
+    new = rows[start:]
+    new[:, -1] = 1.0
+    # the contiguous rows are checked at about twice the speed of the view
+    if not np.all(np.isfinite(new)):
+        raise InvalidInputError("points contain non-finite coordinates")
+
+    if task == "regression":
+        lab = np.array(labels, dtype=float)
+        if lab.ndim == 1:
+            lab = lab.reshape(-1, 1)
+        if lab.ndim != 2 or lab.shape[1] < 1:
+            raise InvalidInputError(f"regression labels must be (m, n_y), got shape {lab.shape}")
+        if not np.all(np.isfinite(lab)):
+            raise InvalidInputError("labels contain non-finite values")
+    elif task == "classification":
+        raw = np.asarray(labels)
+        if raw.ndim != 1:
+            raise InvalidInputError(f"classification labels must be 1-D, got shape {raw.shape}")
+        if raw.dtype.kind == "f":
+            if not np.all(np.isfinite(raw)) or not np.all(raw == np.round(raw)):
+                raise InvalidInputError("class ids must be integral")
+            # int64 holds [-2**63, 2**63); a cast of any other id wraps
+            if not np.all((raw >= -2.0**63) & (raw < 2.0**63)):
+                raise InvalidInputError("class ids must lie in the int64 range")
+        lab = raw.astype(np.int64)
+        if raw.dtype.kind == "u" and np.any(lab < 0):  # an id past 2**63 - 1 wrapped
+            raise InvalidInputError("class ids must lie in the int64 range")
+    else:
+        raise InvalidInputError(f"unknown task {task!r}")
+
+    if start + lab.shape[0] != rows.shape[0]:
+        raise InvalidInputError(f"{rows.shape[0]} points but {start + lab.shape[0]} label rows")
+    return lab
 
 
 def _with_ones(points: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MaxEntParams, Prediction, predict_point
+from .core import Dataset, MaxEntParams, Prediction, _checked_rows, _with_ones, predict_point
 from .errors import IngestionError, InvalidInputError
 from .laminate import STIFFNESS_COLUMNS, abd_matrices, standard_layups, stiffness_feature_row
 from .signals import _channel_features, miner_damage_index
@@ -248,15 +248,6 @@ class FeatureTable:
                 cells.append(repr(float(target)))
                 writer.writerow(cells)
 
-    @classmethod
-    def from_csv(cls, path) -> "FeatureTable":
-        """Read a numeric table whose last column is the target ``D``.
-
-        The other header names become ``columns``; empty cells are missing (NaN).
-        """
-        header, data = read_numeric_csv(path)
-        return cls(data[:, :-1], _checked_targets(path, header, data), tuple(header[:-1]))
-
 
 def _checked_targets(path, header: list, data: np.ndarray) -> np.ndarray:
     """The target column of a parsed table, a view of ``data``; raises an
@@ -446,7 +437,7 @@ class ImputerSpec:
 _COLUMN_BLOCK_BYTES = 512 * 1024
 
 
-def fit_imputer(table: FeatureTable) -> ImputerSpec:
+def fit_imputer(rows: np.ndarray) -> ImputerSpec:
     """Median of the present (non-NaN) cells per column; 0 for fully missing columns.
 
     The complete columns are copied ``_COLUMN_BLOCK_BYTES`` at a time, one
@@ -454,13 +445,13 @@ def fit_imputer(table: FeatureTable) -> ImputerSpec:
     place. Selection is exact, so a median does not depend on its block.
     Each gappy column's median is taken over its present cells alone.
     """
-    rows = table.rows
+    rows = np.asarray(rows, dtype=float)
     missing = np.isnan(rows)
     medians = np.zeros(rows.shape[1])
     gappy = missing.any(axis=0)
     full = np.flatnonzero(~gappy)
-    if len(table):
-        step = max(1, _COLUMN_BLOCK_BYTES // (8 * len(table)))
+    if rows.shape[0]:
+        step = max(1, _COLUMN_BLOCK_BYTES // (8 * rows.shape[0]))
         for start in range(0, full.size, step):
             cols = full[start : start + step]
             # rows.T[cols] is a fresh C-ordered copy; a column-major block
@@ -605,7 +596,9 @@ class OnlineStore:
         caller's table and the store's points and no other table-sized
         array. ``table`` is not modified.
         """
-        return cls._build(table, None, params, scaler_kind)
+        imputer = fit_imputer(table.rows)
+        rows = _with_ones(table.rows)  # made after the medians, so their blocks come first
+        return cls._build(table.columns, imputer, rows, table.targets, params, scaler_kind)
 
     @classmethod
     def from_csv(
@@ -614,38 +607,39 @@ class OnlineStore:
         params: MaxEntParams | None = None,
         scaler_kind: str | None = "minmax_pm1",
     ) -> "OnlineStore":
-        """The store ``from_table(FeatureTable.from_csv(path), ...)`` builds,
-        bit for bit, with its errors, but with no copy of the table.
+        """The store over a headered CSV table whose last column is the
+        target ``D``; the other header names become ``columns`` and empty
+        cells are missing (NaN).
 
         The parsed ``(m, n + 1)`` array becomes the ``Dataset``'s
         ``[X | 1]`` rows: the targets ``D`` are copied out, the feature
         columns are imputed and scaled in place and the ``D`` column is
         overwritten with ones, so one table-sized array is held from the
-        parse to the last query.
+        parse to the last query. The store is the one ``from_table`` builds
+        from the same rows, targets and columns, bit for bit.
         """
         header, data = read_numeric_csv(path)
         targets = _checked_targets(path, header, data).copy()
-        return cls._build(FeatureTable(data[:, :-1], targets, tuple(header[:-1])),
-                          data, params, scaler_kind)
+        return cls._build(header[:-1], fit_imputer(data[:, :-1]), data, targets, params,
+                          scaler_kind)
 
     @classmethod
-    def _build(cls, table: FeatureTable, rows: np.ndarray | None, params,
+    def _build(cls, columns, imputer: ImputerSpec, rows: np.ndarray, targets, params,
                scaler_kind) -> "OnlineStore":
-        """The store over ``table``, whose imputed, scaled points are written
-        to the first n columns of ``rows``, a fresh C-ordered ``(m, n + 1)``
-        array that the ``Dataset`` adopts: the parsed table that holds
-        ``table.rows`` in those columns, or a new array when ``rows`` is
-        None."""
-        imputer = fit_imputer(table)
-        if rows is None:  # made after the medians, so their blocks come first
-            rows = np.empty((len(table), len(table.columns) + 1))
-        points = apply_imputer(imputer, table.rows, out=rows[:, :-1])
+        """The store over ``rows``, a C-ordered ``(m, n + 1)`` array that no
+        caller keeps, whose first n columns hold the raw table the imputer
+        was fitted on. They are imputed and scaled in place, and the array,
+        checked by ``_checked_rows``, becomes the ``Dataset``'s ``[X | 1]``
+        rows."""
+        points = rows[:, :-1]
+        apply_imputer(imputer, points, out=points)
         scaler = None
         if scaler_kind is not None:
             scaler = fit_scaler(points, scaler_kind)
             apply_scaler(scaler, points, out=points)
-        return cls(table.columns, params or MaxEntParams(), imputer, scaler,
-                   Dataset._adopt(rows, table.targets))
+        labels = _checked_rows(rows, targets, "regression")
+        return cls(columns, params or MaxEntParams(), imputer, scaler,
+                   Dataset._prefix(rows, labels, len(rows)))
 
     def __len__(self) -> int:
         return self._dataset.n_points
@@ -683,16 +677,8 @@ class OnlineStore:
             rows_buf[:m], labels_buf[:m] = ds._rows, ds.labels
             self._buffer = rows_buf, labels_buf
         rows_buf, labels_buf = self._buffer
-        block = rows_buf[m:end]
-        block[:, :-1] = new
-        block[:, -1] = 1.0
-        if not np.all(np.isfinite(block)):
-            raise InvalidInputError("points contain non-finite coordinates")
-        if not np.all(np.isfinite(labels)):
-            raise InvalidInputError("labels contain non-finite values")
-        if labels.shape[0] != new.shape[0]:
-            raise InvalidInputError(f"{end} points but {m + labels.shape[0]} label rows")
-        labels_buf[m:end] = labels
+        rows_buf[m:end, :-1] = new
+        labels_buf[m:end] = _checked_rows(rows_buf[:end], labels, "regression", m)
         self._dataset = Dataset._prefix(rows_buf, labels_buf, end)
         return m
 

@@ -7,6 +7,8 @@ import functools
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxentnn
 from maxentnn.cli import _params_from, build_parser, main
 from maxentnn.core import MaxEntParams
 from maxentnn.laminate import T700_PLY, ply_stiffness_q12
@@ -24,6 +27,8 @@ from maxentnn.pipeline import (
     Condition,
     FeatureTable,
     MeasurementRecord,
+    _checked_targets,
+    read_numeric_csv,
     write_records,
 )
 
@@ -132,8 +137,9 @@ class TestFeaturesCommand:
         out = tmp_path / "table.csv"
         assert main(["features", str(records), "--failure-cycles", str(fc),
                      "--out", str(out)]) == 0
-        table = FeatureTable.from_csv(out)
-        assert len(table) == 3
+        header, data = read_numeric_csv(out)
+        assert header == list(TABLE_COLUMNS)
+        assert _checked_targets(out, header, data).shape == (3,)
         assert "rows=3" in capsys.readouterr().out
 
     def test_lenient_skips_and_warns(self, tmp_path, capsys):
@@ -309,14 +315,14 @@ class TestAppendAndEval:
                      "--out", str(table_csv)]) == 0
         # seed the store with the first two rows, append the third, then
         # query the third row's features
-        full = FeatureTable.from_csv(table_csv)
+        _, full = read_numeric_csv(table_csv)
         seed_csv = tmp_path / "seed.csv"
-        FeatureTable(full.rows[:2], full.targets[:2]).to_csv(seed_csv)
+        FeatureTable(full[:2, :-1], full[:2, -1]).to_csv(seed_csv)
         third = tmp_path / "third.jsonl"
         lines = (tmp_path / "records.jsonl").read_text().splitlines()
         third.write_text(lines[2] + "\n")
         queries = tmp_path / "queries.csv"
-        FeatureTable(full.rows[2:3], full.targets[2:3]).to_csv(queries)
+        FeatureTable(full[2:3, :-1], full[2:3, -1]).to_csv(queries)
         preds = tmp_path / "preds.csv"
         assert main(["append", "--table", str(seed_csv), "--records", str(third),
                      "--failure-cycles", str(fc), "--queries", str(queries),
@@ -324,7 +330,7 @@ class TestAppendAndEval:
         assert "refits=0" in capsys.readouterr().out
         with open(preds, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert float(rows[0]["prediction"]) == pytest.approx(float(full.targets[2]), abs=1e-12)
+        assert float(rows[0]["prediction"]) == pytest.approx(full[2, -1], abs=1e-12)
 
     def test_append_without_records_writes_the_predict_output(self, tmp_path):
         # one table path and one writer: with nothing appended, append
@@ -755,3 +761,29 @@ class TestExitCodeContract:
         args = build_parser(config).parse_args(_TOY_RUN)
         assert (args.seed, args.k, args.threshold_filter, args.parallel) == (3, 2, 0.05, None)
         assert build_parser({"lenient": 0}).parse_args(_FEATURES).lenient == 0
+
+
+_WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None  # any import of scipy, or of a submodule, now raises ImportError
+import maxentnn
+for info in pkgutil.iter_modules(maxentnn.__path__):
+    importlib.import_module("maxentnn." + info.name)
+from maxentnn.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_the_package_imports_and_predicts_without_scipy(tmp_path):
+    # scipy is a test dependency only; the package itself needs numpy alone
+    (tmp_path / "t.csv").write_text("x1,D\n0.1,0.2\n0.5,0.4\n")
+    (tmp_path / "q.csv").write_text("x1\n0.3\n0.45\n")
+    src = os.path.dirname(os.path.dirname(maxentnn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["predict", "--table", "t.csv", "--queries", "q.csv", "--out", "out.csv"]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "out.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and all(0.2 <= float(r["prediction"]) <= 0.4 for r in rows)

@@ -1,7 +1,9 @@
 """Unit tests for the entropy-tuned neighbor predictor."""
 
+import copy
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from maxentnn import (
     predict_regression,
     solve_weights,
 )
-from maxentnn.core import WeightSolution, _neighborhood, _spectral_bound
+from maxentnn.core import WeightSolution, _checked_rows, _neighborhood, _spectral_bound
 from maxentnn.pipeline import FeatureTable, OnlineStore
 
 E_INV = math.exp(-1.0)
@@ -1158,6 +1160,14 @@ class TestParamsValidation:
         {"sweep_points": 1},
         {"max_minconvex_rounds": 0},
         {"q2_hfilter_increment": 0.0},
+        # a bool is an int, but True is no count or tolerance
+        {"it_convergence": True},
+        {"it_local_min": True},
+        {"max_minconvex_rounds": True},
+        {"convergence_tolerance": True},
+        {"local_min_tolerance": True},
+        {"q1_initial_error": True},
+        {"q2_hfilter_increment": True},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ParameterError):
@@ -1182,17 +1192,50 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             ds.points[0, 0] = 5.0
 
-    def test_adopted_points_are_not_copied_and_are_checked(self):
+    def test_checked_rows_get_ones_in_place_and_are_read_from_start(self):
+        # the one check of the constructor, the store's build and its appends
         rows = np.array([[0.0, 1.0, 7.0], [2.0, 3.0, 7.0]])
-        ds = Dataset._adopt(rows, [0.5, 1.5])
-        assert np.shares_memory(ds.points, rows) and not rows.flags.writeable
-        np.testing.assert_array_equal(ds.points, [[0.0, 1.0], [2.0, 3.0]])
-        np.testing.assert_array_equal(rows[:, -1], [1.0, 1.0])
-        np.testing.assert_array_equal(ds.labels, [[0.5], [1.5]])
+        labels = _checked_rows(rows, [0.5, 1.5], "regression")
+        np.testing.assert_array_equal(rows, [[0.0, 1.0, 1.0], [2.0, 3.0, 1.0]])
+        np.testing.assert_array_equal(labels, [[0.5], [1.5]])
         with pytest.raises(InvalidInputError, match="non-finite"):
-            Dataset._adopt(np.array([[np.nan, 0.0]]), [0.0])
-        with pytest.raises(InvalidInputError, match="label rows"):
-            Dataset._adopt(np.zeros((2, 2)), [0.0])
+            _checked_rows(np.array([[np.nan, 0.0]]), [0.0], "regression")
+        with pytest.raises(InvalidInputError, match="2 points but 1 label rows"):
+            _checked_rows(np.zeros((2, 2)), [0.0], "regression")
+        # rows before start are neither read nor written; the count holds them
+        rows = np.array([[np.nan, 7.0], [2.0, 7.0], [3.0, 7.0]])
+        labels = _checked_rows(rows, [0.5, 0.25], "regression", start=1)
+        np.testing.assert_array_equal(rows[:, -1], [7.0, 1.0, 1.0])
+        np.testing.assert_array_equal(labels, [[0.5], [0.25]])
+        with pytest.raises(InvalidInputError, match="3 points but 2 label rows"):
+            _checked_rows(rows, [0.5], "regression", start=1)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            _checked_rows(rows, [0.5, 0.25, 0.0], "regression", start=0)
+
+    @pytest.mark.parametrize("labels", [
+        [1e300, 0.0, 1.0], [-1e300, 0.0, 1.0], [2.0**63, 0.0, 1.0], [-2.0**64, 0.0, 1.0],
+        [2**63, 0, 1],  # Python ints, read as float64 or uint64 by numpy version
+        np.array([2**63, 0, 1], dtype=np.uint64),
+    ])
+    def test_class_ids_outside_int64_are_rejected_without_a_cast(self, labels):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="int64"):
+                Dataset(np.random.rand(3, 2), labels, "classification")
+
+    def test_class_ids_at_the_int64_limits_are_kept(self):
+        low, high = -2.0**63, np.nextafter(2.0**63, 0.0)
+        ds = Dataset(np.random.rand(3, 2), [low, high, 1.0], "classification")
+        assert ds.labels.tolist() == [-2**63, int(high), 1]
+        top = np.array([2**63 - 1, 0, 1], dtype=np.uint64)
+        assert Dataset(np.random.rand(3, 2), top, "classification").labels[0] == 2**63 - 1
+
+    def test_equality_and_hash_are_by_identity(self):
+        ds = Dataset([[0.0], [1.0]], [[0.0], [1.0]])
+        twin = copy.deepcopy(ds)
+        assert ds == ds and ds != twin
+        assert hash(ds) == hash(ds)
+        assert len({ds, twin, ds}) == 2
 
     def test_classification_labels_must_be_integral(self):
         with pytest.raises(InvalidInputError):

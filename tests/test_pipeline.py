@@ -31,6 +31,7 @@ from maxentnn.pipeline import (
     MeasurementRecord,
     N_CHANNELS,
     OnlineStore,
+    _checked_targets,
     apply_imputer,
     apply_scaler,
     build_feature_row,
@@ -425,13 +426,20 @@ class TestRecordIO:
         assert (loaded[1].layup_id, loaded[1].cycles, loaded[1].channels[0].channel_id) == (2, 50, 2)
 
 
+def _reference_table(path):
+    """A CSV table read back as a ``FeatureTable``: the parsed features, the
+    checked target column ``D`` and the other header names as columns."""
+    header, data = read_numeric_csv(path)
+    return FeatureTable(data[:, :-1], _checked_targets(path, header, data), tuple(header[:-1]))
+
+
 class TestFeatureTableCsv:
     def test_round_trip_preserves_mask_and_values(self, tmp_path):
         records = [baseline_record(4), baseline_record(5)]
         table = FeatureTable.from_records(records, failure_cycles=FAILURE_CYCLES)
         path = tmp_path / "table.csv"
         table.to_csv(path)
-        back = FeatureTable.from_csv(path)
+        back = _reference_table(path)
         assert len(back) == 2
         np.testing.assert_array_equal(np.isnan(back.rows), np.isnan(table.rows))
         live = ~np.isnan(table.rows)
@@ -442,7 +450,7 @@ class TestFeatureTableCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(IngestionError, match="header mismatch"):
-            FeatureTable.from_csv(path)
+            _reference_table(path)
 
 
 def _cell_by_cell_read(path):
@@ -694,7 +702,7 @@ class TestImputer:
     def test_median_fill(self):
         rows = np.array([[1.0, 5.0], [3.0, np.nan], [2.0, 7.0]])
         table = FeatureTable(rows, np.zeros(3), columns=("a", "b"))
-        imp = fit_imputer(table)
+        imp = fit_imputer(table.rows)
         np.testing.assert_array_equal(imp.medians, [2.0, 6.0])
         filled = apply_imputer(imp, rows)
         assert filled[1, 1] == 6.0
@@ -717,9 +725,9 @@ class TestImputer:
             live = rows[~mask[:, j], j]
             if live.size:
                 reference[j] = float(np.median(live))
-        np.testing.assert_array_equal(fit_imputer(table).medians, reference)
+        np.testing.assert_array_equal(fit_imputer(table.rows).medians, reference)
         if masked and m:
-            assert fit_imputer(table).medians[3] == 0.0
+            assert fit_imputer(table.rows).medians[3] == 0.0
 
 
 def random_table(m=100, width=6, seed=0, masked=False):
@@ -858,8 +866,8 @@ class TestOneWorkingCopy:
 
     def test_load_holds_the_parsed_table_and_the_points(self, tmp_path):
         path = _csv_table(tmp_path)
-        nbytes = FeatureTable.from_csv(path).rows.nbytes
-        peak = _peak_new_bytes(lambda: OnlineStore.from_table(FeatureTable.from_csv(path)))
+        nbytes = _reference_table(path).rows.nbytes
+        peak = _peak_new_bytes(lambda: OnlineStore.from_table(_reference_table(path)))
         assert peak <= 2.3 * nbytes
 
 
@@ -885,7 +893,7 @@ def _assert_same_store(a, b):
 
 
 class TestLoadFromCsv:
-    """``OnlineStore.from_csv`` builds the store ``from_table(FeatureTable.from_csv)``
+    """``OnlineStore.from_csv`` builds the store ``from_table(_reference_table)``
     builds, bit for bit and error for error, in the parsed array itself."""
 
     @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
@@ -893,10 +901,10 @@ class TestLoadFromCsv:
     def test_store_and_predictions_match_from_table(self, tmp_path, kind, blank):
         path = _blank_csv_table(tmp_path, 60, 9, seed=7) if blank else _csv_table(tmp_path, 60, 9)
         a = OnlineStore.from_csv(path, scaler_kind=kind)
-        b = OnlineStore.from_table(FeatureTable.from_csv(path), scaler_kind=kind)
+        b = OnlineStore.from_table(_reference_table(path), scaler_kind=kind)
         _assert_same_store(a, b)
         rng = np.random.default_rng(11)
-        raw = FeatureTable.from_csv(path).rows
+        raw = _reference_table(path).rows
         # table rows (blanks included), rows near them and queries far outside
         queries = np.vstack([raw[:4], raw[4:8] + 0.05 * rng.normal(size=(4, 9)),
                              rng.normal(size=(4, 9)) * 50.0])
@@ -923,7 +931,7 @@ class TestLoadFromCsv:
         assert np.shares_memory(ds._whole_table.kmat, parsed[0])
         np.testing.assert_array_equal(parsed[0][:, -1], 1.0)
         # the targets were copied out before the ones were written
-        np.testing.assert_array_equal(ds.labels[:, 0], FeatureTable.from_csv(path).targets)
+        np.testing.assert_array_equal(ds.labels[:, 0], _reference_table(path).targets)
 
     @pytest.mark.parametrize("text", [
         "x1,y\n0.1,0.5\n",  # the last column is not D
@@ -937,7 +945,7 @@ class TestLoadFromCsv:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises((IngestionError, InvalidInputError)) as expected:
-            OnlineStore.from_table(FeatureTable.from_csv(path), scaler_kind=kind)
+            OnlineStore.from_table(_reference_table(path), scaler_kind=kind)
         with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
             OnlineStore.from_csv(path, scaler_kind=kind)
 
@@ -954,7 +962,7 @@ class TestLoadFromCsv:
     def test_range_error_names_the_file_line_after_quoted_line_breaks(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        for load in (OnlineStore.from_csv, FeatureTable.from_csv):
+        for load in (OnlineStore.from_csv, _reference_table):
             with pytest.raises(IngestionError, match=r":4: damage fraction"):
                 load(path)
 
@@ -971,7 +979,7 @@ class TestLoadFromCsv:
         path.write_text(text.getvalue().replace("nan", ""))
         nbytes = read_numeric_csv(path)[1].nbytes
         peak = _peak_new_bytes(lambda: OnlineStore.from_csv(path, scaler_kind=kind))
-        # from_table(FeatureTable.from_csv) holds two tables: about 2.15x
+        # from_table(_reference_table) holds two tables: about 2.15x
         assert peak <= 1.4 * nbytes
 
 
@@ -1004,7 +1012,7 @@ class TestOnlineStore:
     @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
     def test_from_table_points_are_the_imputed_scaled_rows(self, kind):
         table = random_table(m=40, seed=9, masked=True)
-        filled = apply_imputer(fit_imputer(table), table.rows)
+        filled = apply_imputer(fit_imputer(table.rows), table.rows)
         expected = filled if kind is None else apply_scaler(fit_scaler(filled, kind), filled)
         store = OnlineStore.from_table(table, scaler_kind=kind)
         np.testing.assert_array_equal(store.snapshot().points, expected)
@@ -1418,4 +1426,4 @@ class TestCanonicalTargetRange:
         text[1] = text[1].rsplit(",", 1)[0] + ",1.5"
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(IngestionError, match=r"\[0, 1\]"):
-            FeatureTable.from_csv(path)
+            _reference_table(path)
