@@ -12,7 +12,6 @@ input files and seed; ``--parallel`` never changes output bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -23,7 +22,7 @@ import numpy as np
 
 from .core import MaxEntParams, Prediction, predict_batch
 from .errors import IngestionError, LayupParseError, MaxentError, ParameterError
-from .evaluation import ToySpec, _format_cell, metrics, run_toy_experiment
+from .evaluation import ToySpec, metrics, run_toy_experiment
 from .laminate import (
     PlyProperties,
     T700_PLY,
@@ -31,7 +30,8 @@ from .laminate import (
     parse_layup,
     stiffness_feature_row,
 )
-from .pipeline import FeatureTable, OnlineStore, read_numeric_csv, read_records
+from .pipeline import (FeatureTable, OnlineStore, read_numeric_column, read_numeric_csv,
+                       read_records, write_csv)
 # not called here; imported for perfbench/tracing.py, which wraps them as attributes of this module
 from .pipeline import apply_imputer, apply_scaler, fit_imputer, fit_scaler  # noqa: F401
 
@@ -68,6 +68,18 @@ def _parallelism(args) -> int:
 
 def _scaler_kind(args) -> str | None:
     return None if args.scaler == "none" else args.scaler
+
+
+def _read_json_object(path: str, error, what: str) -> dict:
+    """The JSON object in ``path``; anything else raises ``error``."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{path}: expected a JSON object of {what}")
+    return obj
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -136,13 +148,7 @@ def _cmd_clt(args) -> int:
 
 def _read_failure_cycles(path: str) -> dict:
     """Coupon id -> cycles at failure, from a JSON object of integers."""
-    with open(path) as fh:
-        try:
-            counts = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"{path}: malformed JSON: {exc}") from None
-    if not isinstance(counts, dict):
-        raise IngestionError(f"{path}: expected a JSON object of coupon id -> cycles at failure")
+    counts = _read_json_object(path, IngestionError, "coupon id -> cycles at failure")
     for coupon, cycles in counts.items():
         if not isinstance(cycles, int) or isinstance(cycles, bool):
             raise IngestionError(
@@ -187,23 +193,17 @@ def _serve(store, queries, workers, path) -> int:
     number of rows written."""
     results = predict_batch(store.snapshot(), store.normalize(queries), store.params, workers)
 
-    fields = ["index", "prediction", "n_neighbors", "h_star", "exit_reason",
-              "iterations", "residual_error", "weight_sum_gap", "rounds", "error"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for i, res in enumerate(results):
-            if isinstance(res, Prediction):
-                d = res.diagnostics()
-                writer.writerow([
-                    i, _format_cell(float(np.asarray(res.value).ravel()[0])),
-                    d["n_neighbors"], _format_cell(d["h_star"]), d["exit_reason"],
-                    d["iterations"], _format_cell(d["residual_error"]),
-                    _format_cell(d["weight_sum_gap"]), d["rounds"], "",
-                ])
-            else:
-                writer.writerow([i, "", "", "", "", "", "", "", "",
-                                 f"{res.error}: {res.message}"])
+    rows = []
+    for i, res in enumerate(results):
+        if isinstance(res, Prediction):
+            d = res.diagnostics()
+            rows.append([i, float(np.asarray(res.value).ravel()[0]), d["n_neighbors"],
+                         d["h_star"], d["exit_reason"], d["iterations"], d["residual_error"],
+                         d["weight_sum_gap"], d["rounds"], None])
+        else:
+            rows.append([i, *[None] * 8, f"{res.error}: {res.message}"])
+    write_csv(path, ["index", "prediction", "n_neighbors", "h_star", "exit_reason",
+                     "iterations", "residual_error", "weight_sum_gap", "rounds", "error"], rows)
     return len(results)
 
 
@@ -242,36 +242,9 @@ def _cmd_append(args) -> int:
 
 # ---------------------------------------------------------------- metrics
 
-def _read_column(path: str, column: str) -> np.ndarray:
-    """One named numeric column; other columns may hold arbitrary text."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MaxentError(f"{path}: empty file")
-        if column not in header:
-            raise MaxentError(f"{path}: no column named {column!r}")
-        j = header.index(column)
-        values = []
-        for lineno, cells in enumerate(reader, start=2):
-            if j >= len(cells):
-                raise MaxentError(f"{path}:{lineno}: row has no {column!r} cell")
-            try:
-                value = float(cells[j])
-            except ValueError:
-                raise MaxentError(
-                    f"{path}:{lineno}: non-numeric {column!r} value {cells[j]!r}"
-                ) from None
-            # NaN or infinity would turn the report into invalid JSON
-            if not math.isfinite(value):
-                raise MaxentError(f"{path}:{lineno}: non-finite {column!r} value {cells[j]!r}")
-            values.append(value)
-    return np.array(values)
-
-
 def _cmd_eval(args) -> int:
-    preds = _read_column(args.predictions, args.pred_col)
-    truth = _read_column(args.truth, args.truth_col)
+    preds = read_numeric_column(args.predictions, args.pred_col)
+    truth = read_numeric_column(args.truth, args.truth_col)
     if preds.size != truth.size:
         raise MaxentError(
             f"row count mismatch: {preds.size} predictions vs {truth.size} targets"
@@ -291,17 +264,6 @@ def _cmd_eval(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
-
-def _read_config(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"{path}: malformed JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise _UsageError(f"{path}: expected a JSON object of flag defaults")
-    return config
-
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """CLI parser; ``defaults`` (from a config file) pre-seed every flag."""
@@ -408,7 +370,8 @@ def main(argv=None) -> int:
         probe = argparse.ArgumentParser(add_help=False)
         probe.add_argument("--config", default=None)
         known, _ = probe.parse_known_args(argv)
-        defaults = _read_config(known.config) if known.config else None
+        defaults = (_read_json_object(known.config, _UsageError, "flag defaults")
+                    if known.config else None)
         parser = build_parser(defaults)
         args = parser.parse_args(argv)
     except (OSError, _UsageError) as exc:

@@ -227,6 +227,9 @@ def _checked_rows(rows: np.ndarray, labels, task: str, start: int = 0) -> np.nda
         raw = np.asarray(labels)
         if raw.ndim != 1:
             raise InvalidInputError(f"classification labels must be 1-D, got shape {raw.shape}")
+        # text, objects (Python ints past int64 among them) and complex numbers are no class ids
+        if raw.dtype.kind not in "biuf":
+            raise InvalidInputError(f"class ids must be int64 integers, got {raw.dtype} labels")
         if raw.dtype.kind == "f":
             if not np.all(np.isfinite(raw)) or not np.all(raw == np.round(raw)):
                 raise InvalidInputError("class ids must be integral")
@@ -369,6 +372,18 @@ def _sq_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
         np.multiply(t, t, out=t)
         np.sum(t, axis=1, out=d2[start:stop])
     return d2
+
+
+def _duplicate(points: np.ndarray, q: np.ndarray, d2: np.ndarray) -> int | None:
+    """The row ``q`` duplicates, given its squared distances ``d2`` to
+    ``points``: the first equal to ``q``, failing that the first whose d²
+    underflowed to zero, which is numerically the query; None if no d² is
+    zero. An equal row has d² zero, so only those rows are compared."""
+    zero = np.flatnonzero(d2 == 0.0)
+    if not zero.size:
+        return None
+    exact = zero[np.all(points[zero] == q, axis=1)]
+    return int(exact[0] if exact.size else zero[0])
 
 
 def filter_convex(sq_distances, h: float, threshold: float) -> ConvexSubset:
@@ -563,8 +578,8 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     ``it_local_min + 1``.
 
     ``initial_weights`` are expected to be the similarities at the selected
-    bandwidth. A query coinciding exactly with a subset point short-circuits
-    to a unit weight on that point.
+    bandwidth. A query that duplicates a subset point (see ``_duplicate``)
+    short-circuits to a unit weight on that point.
 
     ``subset_points`` is a ``(k, n)`` array of rows, which are checked, or
     the neighborhood ``predict_point`` prepares: the rows already laid out
@@ -592,11 +607,10 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     if not np.all(np.isfinite(u0)):
         raise InvalidInputError("initial weights contain non-finite values")
 
-    # a sum of squares is zero only when every square is, in any layout
-    exact = np.flatnonzero(_sq_distances(pts, q) == 0.0)
-    if exact.size:
+    i = _duplicate(pts, q, _sq_distances(pts, q))
+    if i is not None:
         w = np.zeros(k)
-        w[exact[0]] = 1.0
+        w[i] = 1.0
         return WeightSolution(w, 0.0, 0.0, 0, True)
 
     nb = _neighborhood(_with_ones(pts))
@@ -739,8 +753,8 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     only grows, so the prefilters are nested, and a prefilter of the size
     of the last solved round's holds the same rows: such a round ends as a
     local minimum before its bandwidth sweep, which would reselect the last
-    neighborhood. A query exactly duplicating a training point
-    short-circuits to that point's label.
+    neighborhood. A query that duplicates a training point (see
+    ``_duplicate``) short-circuits to that point's label.
     Each solved neighborhood is prepared once as the solve's operator; the
     whole table's is kept on the ``Dataset`` for its later queries.
     """
@@ -749,13 +763,8 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     q = _as_point(query, dataset.n_features)
 
     d2 = _sq_distances(dataset.points, q)
-    # Exact coordinate matches win; rows whose squared distance underflowed
-    # to zero are numerically indistinguishable from the query and count too.
-    # An exact match has distance zero, so only those rows are compared.
-    duplicates = np.flatnonzero(d2 == 0.0)
-    if duplicates.size:
-        exact = duplicates[np.all(dataset.points[duplicates] == q, axis=1)]
-        i = int(exact[0] if exact.size else duplicates[0])
+    i = _duplicate(dataset.points, q, d2)
+    if i is not None:
         if dataset.task == "regression":
             value = dataset.labels[i].copy()
         else:

@@ -17,7 +17,6 @@ every generated value.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -27,12 +26,13 @@ from .core import (
     Dataset,
     MaxEntParams,
     Prediction,
+    _duplicate,
     _sq_distances,
     predict_batch,
     predict_classification,
 )
 from .errors import InvalidInputError, ParameterError
-from .pipeline import FeatureTable, OnlineStore
+from .pipeline import FeatureTable, OnlineStore, write_csv
 
 __all__ = [
     "ToySpec",
@@ -121,21 +121,22 @@ def boundary_distances(points: np.ndarray, which: str, grid: int = 100001) -> np
 def weighted_knn_predict(dataset: Dataset, query, k: int):
     """Inverse-distance weighted k-nearest-neighbor prediction.
 
-    An exact match returns that row's label directly. Regression averages
-    the k nearest labels with weights 1/d; classification takes the
-    1/d-weighted vote, ties broken by the smallest class id.
+    A query that duplicates a row (see ``core._duplicate``) returns that
+    row's label directly. Regression averages the k nearest labels with
+    weights 1/d; classification takes the 1/d-weighted vote, ties broken
+    by the smallest class id.
     """
     if not (1 <= k <= dataset.n_points):
         raise ParameterError(f"k must lie in 1..{dataset.n_points}, got {k}")
     q = np.asarray(query, dtype=float)
     if q.shape != (dataset.n_features,):
         raise InvalidInputError(f"query must have {dataset.n_features} coordinates")
-    distances = np.sqrt(_sq_distances(dataset.points, q))
-    exact = np.flatnonzero(distances == 0.0)
-    if exact.size:
-        i = int(exact[0])
+    d2 = _sq_distances(dataset.points, q)
+    i = _duplicate(dataset.points, q, d2)
+    if i is not None:
         return dataset.labels[i].copy() if dataset.task == "regression" else int(dataset.labels[i])
 
+    distances = np.sqrt(d2)
     order = np.argsort(distances, kind="stable")[:k]
     weights = 1.0 / distances[order]
     if dataset.task == "regression":
@@ -201,25 +202,12 @@ class ToyExperimentResult:
     )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self._DUMP_COLUMNS)
-            for row in self.rows:
-                writer.writerow([row[c] for c in self._DUMP_COLUMNS])
+        cols = self._DUMP_COLUMNS
+        write_csv(path, cols, ([row[c] for c in cols] for row in self.rows))
 
     def metrics_json(self) -> dict:
         return {"kind": self.spec.kind, "method": self.method,
                 "seed": self.spec.seed, **self.summary}
-
-
-def _format_cell(value) -> str:
-    """A CSV cell: empty for None, a float's shortest round-trip repr."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        # cast keeps numpy scalars from printing their type name
-        return repr(float(value))
-    return str(value)
 
 
 def _predict_all(dataset: Dataset, queries: np.ndarray, method: str, k: int | None = None,
@@ -273,7 +261,7 @@ def run_toy_experiment(
 
     ``method`` is ``"maxent"`` or ``"wknn"`` (which uses ``k`` neighbors).
     Regression reports R^2/MSE per output; classification reports accuracy
-    per output. The per-point rows are CSV-ready.
+    per output. Each per-point row maps the dump's columns to their values.
     """
     train = toy_training_points(spec)
     queries = diagonal_queries(spec.eval_count)
@@ -290,8 +278,8 @@ def run_toy_experiment(
                                params, parallelism, labels[1:])
 
     rows = [
-        {c: _format_cell(v) for c, v in zip(ToyExperimentResult._DUMP_COLUMNS,
-                                             (*map(float, q), *map(cast, t), *map(cast, p), *d))}
+        dict(zip(ToyExperimentResult._DUMP_COLUMNS,
+                 (*map(float, q), *map(cast, t), *map(cast, p), *d)))
         for q, t, p, d in zip(queries, truth, preds, diag)
     ]
     summary = {}

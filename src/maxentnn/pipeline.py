@@ -40,6 +40,8 @@ __all__ = [
     "build_feature_row",
     "FeatureTable",
     "read_numeric_csv",
+    "read_numeric_column",
+    "write_csv",
     "read_records",
     "write_records",
     "ImputerSpec",
@@ -240,13 +242,20 @@ class FeatureTable:
 
     def to_csv(self, path) -> None:
         """Write the canonical header plus one row per record; missing cells are empty."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(self.columns) + [TARGET_COLUMN])
-            for row, target in zip(self.rows, self.targets):
-                cells = ["" if math.isnan(v) else repr(v) for v in row.tolist()]
-                cells.append(repr(float(target)))
-                writer.writerow(cells)
+        write_csv(path, list(self.columns) + [TARGET_COLUMN],
+                  (row.tolist() + [target] for row, target in zip(self.rows, self.targets.tolist())))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then ``rows`` of cells, under the one cell rule of
+    every CSV the package writes: None and NaN are empty, a float (numpy's
+    float64 too) is its shortest repr, anything else its ``str``. ``csv``
+    already writes None as empty and a cell as its ``str``, so only NaN is
+    mapped; a call per cell would slow a wide table's write by about 15%."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([None if v != v else v for v in row] for row in rows)  # v != v: NaN
 
 
 def _checked_targets(path, header: list, data: np.ndarray) -> np.ndarray:
@@ -263,14 +272,15 @@ def _checked_targets(path, header: list, data: np.ndarray) -> np.ndarray:
     if outside.any():
         i = int(np.argmax(outside))
         raise IngestionError(
-            f"{path}:{_record_line(path, i)}: damage fraction must lie in [0, 1], "
+            f"{path}:{_record_at(path, i)[0]}: damage fraction must lie in [0, 1], "
             f"got {targets[i]}"
         )
     return targets
 
 
-def _record_line(path, index: int) -> int:
-    """The file line on which body record ``index`` (from 0) starts.
+def _record_at(path, index: int):
+    """The file line on which body record ``index`` (from 0) starts, and
+    the record's cells as ``csv`` reads them.
 
     A quoted cell may run over lines, so the header and the records before
     it are read again with ``csv``, which counts the lines they span. Only
@@ -280,7 +290,7 @@ def _record_line(path, index: int) -> int:
         reader = csv.reader(fh)
         for _ in itertools.islice(reader, index + 1):
             pass
-        return reader.line_num + 1
+        return reader.line_num + 1, next(reader, [])
 
 
 def _loadtxt_records(path, lines, n_columns: int, blanks: list):
@@ -306,9 +316,42 @@ def _loadtxt_records(path, lines, n_columns: int, blanks: list):
             blank = cells.count("")
             line = ",".join([c or "nan" for c in cells])
         if n != n_columns:
-            raise IngestionError(f"{path}:{_record_line(path, index)}: expected {n_columns} cells")
+            raise IngestionError(f"{path}:{_record_at(path, index)[0]}: expected {n_columns} cells")
         blanks.append(blank)
         yield line
+
+
+def _parse(path, column: str | None = None):
+    """Header, body and each record's count of empty cells of a headered
+    CSV, the body parsed in one ``np.loadtxt`` pass whose lines are
+    rewritten only where a cell is empty (to ``nan``) or quoted. With
+    ``column``, the body is that ``(m, 1)`` column, and other cells may
+    hold any text; every record must hold the header's count of cells."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise IngestionError(f"{path}: empty file")
+        usecols = None
+        if column is not None:
+            if column not in header:
+                raise IngestionError(f"{path}: no column named {column!r}")
+            usecols = (header.index(column),)
+        first = next(fh, None)
+        if first is None:  # np.loadtxt would warn that the input held no data
+            return header, np.zeros((0, len(usecols or header))), []
+        blanks = []
+        records = _loadtxt_records(path, itertools.chain([first], fh), len(header), blanks)
+        try:
+            data = np.loadtxt(records, delimiter=",", comments=None, ndmin=2, quotechar='"',
+                              usecols=usecols)
+        except ValueError as exc:
+            # numpy names a cell it cannot read by its 0-based row and 1-based column
+            cell = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc), re.DOTALL)
+            if cell is None:
+                raise IngestionError(f"{path}: {exc}") from None
+            raise IngestionError(f"{path}:{_record_at(path, int(cell[2]))[0]}: "
+                                 f"{cell[1]} in column {cell[3]}") from None
+    return header, data, blanks
 
 
 def read_numeric_csv(path):
@@ -318,36 +361,31 @@ def read_numeric_csv(path):
     number in numpy's float grammar: text such as ``abc``, ``inf``,
     ``nan``, ``1_0`` or a non-ASCII digit raises an IngestionError naming
     the file line on which its record starts.
-
-    The body is parsed in one ``np.loadtxt`` pass, whose lines are
-    rewritten on the way only where a cell is empty or quoted.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise IngestionError(f"{path}: empty file")
-        first = next(fh, None)
-        if first is None:  # np.loadtxt would warn that the input held no data
-            return header, np.zeros((0, len(header)))
-        blanks = []
-        records = _loadtxt_records(path, itertools.chain([first], fh), len(header), blanks)
-        try:
-            data = np.loadtxt(records, delimiter=",", comments=None, ndmin=2, quotechar='"')
-        except ValueError as exc:
-            # numpy names a cell it cannot read by its 0-based row and 1-based column
-            cell = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc), re.DOTALL)
-            if cell is None:
-                raise IngestionError(f"{path}: {exc}") from None
-            raise IngestionError(f"{path}:{_record_line(path, int(cell[2]))}: "
-                                 f"{cell[1]} in column {cell[3]}") from None
+    header, data, blanks = _parse(path)
     # a NaN that is not an empty field came from text such as "nan"
     non_finite = np.isinf(data).any(axis=1) | (np.isnan(data).sum(axis=1) != blanks)
     if non_finite.any():
         raise IngestionError(
-            f"{path}:{_record_line(path, int(np.argmax(non_finite)))}: non-finite number; "
+            f"{path}:{_record_at(path, int(np.argmax(non_finite)))[0]}: non-finite number; "
             "only empty fields mark missing cells"
         )
     return header, data
+
+
+def read_numeric_column(path, column: str) -> np.ndarray:
+    """The named column of a headered CSV, read as ``read_numeric_csv``
+    reads cells, but an empty, ``nan`` or infinite cell is an
+    IngestionError naming its line and text: no prediction or target is
+    missing. The other columns may hold any text."""
+    header, data, _ = _parse(path, column)
+    values = data[:, 0]
+    bad = ~np.isfinite(values)
+    if bad.any():
+        line, cells = _record_at(path, int(np.argmax(bad)))
+        text = cells[header.index(column)]
+        raise IngestionError(f"{path}:{line}: non-finite {column!r} value {text!r}")
+    return values
 
 
 def _integer_field(value, name: str) -> int:

@@ -481,6 +481,53 @@ class TestEvalOverPredictOutput:
         # replayed training rows hit the duplicate short-circuit: exact fit
         assert payload["r2"] == 1.0 and payload["mse"] == 0.0 and payload["n"] == 30
 
+    def test_eval_names_the_line_of_a_failed_query(self, tmp_path, capsys):
+        # a failed query's row has an empty prediction and a quoted error
+        # holding a comma; its empty prediction cell is an error on its line
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            "index,prediction,exit_reason,error\n"
+            "0,0.25,converged,\n"
+            '1,,,"InvalidInputError: query has 3 coordinates, dataset has 2 features"\n'
+            "2,0.75,converged,\n")
+        truth = tmp_path / "t.csv"
+        truth.write_text("D\n0.2\n0.5\n0.8\n")
+        assert main(["eval", "--predictions", str(pred), "--truth", str(truth)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "pred.csv:3: non-finite 'prediction' value ''" in err
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0660.\u0665"])
+    def test_eval_rejects_the_cells_predict_rejects(self, tmp_path, capsys, cell):
+        # float() reads 1_0 as 10 and Arabic-Indic digits as 0.5; the table
+        # parser, which eval shares with predict, reads neither
+        truth = tmp_path / "t.csv"
+        truth.write_text(f"D\n{cell}\n0.5\n", encoding="utf-8")
+        preds = tmp_path / "p.csv"
+        preds.write_text("prediction\n0.1\n0.5\n")
+        assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"t.csv:2: could not convert string '{cell}'" in err
+        assert main(["predict", "--table", str(truth), "--queries", str(truth),
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert f"t.csv:2: could not convert string '{cell}'" in capsys.readouterr().err
+
+    def test_eval_names_the_physical_line_after_a_two_line_cell(self, tmp_path, capsys):
+        preds = tmp_path / "p.csv"
+        preds.write_text('prediction,note\n0.1,"two\nlines"\n0.2,x\nabc,y\n')
+        truth = tmp_path / "t.csv"
+        truth.write_text("D\n0.1\n0.2\n0.3\n")
+        assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "p.csv:5: could not convert string 'abc'" in err
+
+    def test_eval_rows_must_carry_the_headers_cell_count(self, tmp_path, capsys):
+        preds = tmp_path / "p.csv"
+        preds.write_text("prediction,note\n0.1,a\n0.2\n")
+        truth = tmp_path / "t.csv"
+        truth.write_text("D\n0.1\n0.2\n")
+        assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
+        assert "p.csv:3: expected 2 cells" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------- exit-code fuzz
 # Strategies are built once, at import: building them inside every draw

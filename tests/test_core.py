@@ -28,6 +28,7 @@ from maxentnn import (
     solve_weights,
 )
 from maxentnn.core import WeightSolution, _checked_rows, _neighborhood, _spectral_bound
+from maxentnn.evaluation import weighted_knn_predict
 from maxentnn.pipeline import FeatureTable, OnlineStore
 
 E_INV = math.exp(-1.0)
@@ -962,6 +963,17 @@ class TestPredictPoint:
         assert pred.neighbor_indices.tolist() == [1]
         np.testing.assert_array_equal(pred.value, [7.0])
 
+    def test_every_duplicate_short_circuit_picks_the_same_row(self):
+        # row 0 is at squared distance 0.0 after underflow; row 1 is the query
+        pts, q = np.array([[1e-170], [0.0], [0.5]]), np.array([0.0])
+        ds = Dataset(pts, [[10.0], [20.0], [30.0]])
+        np.testing.assert_array_equal(predict_point(ds, q).value, [20.0])
+        sol = solve_weights(pts, q, np.ones(3), MaxEntParams())
+        assert sol.weights.tolist() == [0.0, 1.0, 0.0] and sol.converged
+        np.testing.assert_array_equal(weighted_knn_predict(ds, q, k=2), [20.0])
+        clf = Dataset(pts, [1, 2, 3], "classification")
+        assert predict_point(clf, q).value == weighted_knn_predict(clf, q, k=2) == 2
+
     def test_underflowed_distance_counts_as_duplicate(self):
         ds = Dataset([[1.0], [1e-200]], [[5.0], [7.0]])
         pred = predict_point(ds, [0.0])
@@ -1240,6 +1252,12 @@ class TestDatasetValidation:
     def test_classification_labels_must_be_integral(self):
         with pytest.raises(InvalidInputError):
             Dataset([[0.0]], [0.5], task="classification")
+
+    @pytest.mark.parametrize("labels", [[2**64, 0], ["a", "b"], [None, 1], [1j, 0]])
+    def test_class_ids_that_are_not_int64_numbers_are_invalid_input(self, labels):
+        # astype(np.int64) raised OverflowError, ValueError or TypeError here
+        with pytest.raises(InvalidInputError, match="class ids"):
+            Dataset(np.random.rand(2, 2), labels, "classification")
 
 
 class TestDiagnosticsSerialization:

@@ -217,7 +217,7 @@ class TestToyExperiments:
         spec = ToySpec("regression", train_count=80, eval_count=10, seed=5)
         res = run_toy_experiment(spec, "wknn", k=3)
         assert res.method == "wknn"
-        assert res.rows[0]["n_neighbors"] == "3"
+        assert res.rows[0]["n_neighbors"] == 3
 
     @pytest.mark.parametrize("kind", ["regression", "classification"])
     def test_unknown_method_is_rejected_before_any_prediction(self, kind, monkeypatch):
@@ -252,9 +252,9 @@ class TestToyExperiments:
         assert len(calls) == 1
         for row, first, second in zip(res.rows, *full_runs):
             assert first.diagnostics() == second.diagnostics()
-            assert (row["y1_pred"], row["y2_pred"]) == (str(first.value), str(second.value))
+            assert (row["y1_pred"], row["y2_pred"]) == (first.value, second.value)
             assert (row["n_neighbors"], row["h_star"], row["exit_reason"]) == (
-                str(second.n_neighbors), repr(second.bandwidth), second.exit_reason)
+                second.n_neighbors, second.bandwidth, second.exit_reason)
 
     def test_csv_dump(self, tmp_path):
         spec = ToySpec("regression", train_count=60, eval_count=6, seed=5)

@@ -37,8 +37,10 @@ from maxentnn.pipeline import (
     build_feature_row,
     fit_imputer,
     fit_scaler,
+    read_numeric_column,
     read_numeric_csv,
     read_records,
+    write_csv,
     write_records,
 )
 
@@ -643,6 +645,35 @@ class TestReadNumericCsv:
             tracemalloc.stop()
         assert np.array_equal(np.isnan(data), np.isnan(values))
         assert peak <= 1.3 * data.nbytes
+
+
+class TestCsvColumnAndWriter:
+    def test_column_is_read_past_text_and_quoted_cells(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text('i,prediction,note\n0,0.5,"a, b"\n1,-1e3,"two\nlines"\n2,7,x\n')
+        np.testing.assert_array_equal(read_numeric_column(path, "prediction"), [0.5, -1e3, 7.0])
+        assert read_numeric_column(path, "i").tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("cell", ["", "nan", "inf", "-Infinity"])
+    def test_missing_or_non_finite_cell_names_its_line_and_text(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        path.write_text(f'prediction,note\n0.1,"x\ny"\n{cell},z\n')
+        with pytest.raises(IngestionError, match=rf"p\.csv:4: non-finite 'prediction' value '{cell}'"):
+            read_numeric_column(path, "prediction")
+
+    def test_unknown_column_and_header_only_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("prediction\n")
+        assert read_numeric_column(path, "prediction").shape == (0,)
+        with pytest.raises(IngestionError, match="no column named 'D'"):
+            read_numeric_column(path, "D")
+
+    def test_one_cell_rule(self, tmp_path):
+        path = tmp_path / "w.csv"
+        cells = [None, math.nan, np.float64("nan"), 0.1, np.float64(1e16), -0.0, math.inf,
+                 3, np.int64(4), "a,b", ""]
+        write_csv(path, ["h"] * len(cells), [cells])
+        assert path.read_text() == 'h,h,h,h,h,h,h,h,h,h,h\n,,,0.1,1e+16,-0.0,inf,3,4,"a,b",\n'
 
 
 class TestScalers:
