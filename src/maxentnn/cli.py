@@ -40,30 +40,41 @@ class _UsageError(Exception):
 
 
 def _add_param_flags(sp: argparse.ArgumentParser) -> None:
+    # predict_batch runs below 1 as one thread and caps the count at os.cpu_count()
+    sp.add_argument("--parallel", type=int, default=1)
     group = sp.add_argument_group("predictor parameters")
     for f in dataclasses.fields(MaxEntParams):
         # annotations are strings under postponed evaluation; the default's type is not
         group.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
-                           type=type(f.default), default=None)
+                           type=type(f.default), default=f.default)
+
+
+_SCALERS = ("minmax_pm1", "standard", "none")
+
+
+def _scaler_name(text: str) -> str:
+    if text not in _SCALERS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice {text!r} (choose from {', '.join(_SCALERS)})")
+    return text
+
+
+def _add_store_flags(sp: argparse.ArgumentParser) -> None:
+    """The flags of a command that serves queries from a table's store."""
+    sp.add_argument("--table", required=True, help="training CSV, target column 'D' last")
+    # a type, not choices: argparse type-checks a string default, as a config
+    # value is, but never checks a default against choices
+    sp.add_argument("--scaler", type=_scaler_name, default="minmax_pm1",
+                    metavar="{" + ",".join(_SCALERS) + "}")
+    _add_param_flags(sp)
 
 
 def _params_from(args) -> MaxEntParams:
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(MaxEntParams)
-                 if getattr(args, f.name, None) is not None}
     try:
-        return MaxEntParams(**overrides)
+        return MaxEntParams(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(MaxEntParams)})
     except ParameterError as exc:
         raise _UsageError(str(exc)) from exc
-
-
-def _parallelism(args) -> int:
-    if getattr(args, "parallel", None) is not None:
-        return max(1, args.parallel)
-    env = os.environ.get("MAXENT_PARALLEL")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        raise _UsageError(f"MAXENT_PARALLEL must be an integer, got {env!r}") from None
 
 
 def _scaler_kind(args) -> str | None:
@@ -106,13 +117,12 @@ def _cmd_toy(args, kind: str) -> int:
         raise _UsageError(f"--k must lie in 1..--train ({args.train}), got {args.k}")
     spec = ToySpec(kind, args.train, args.eval, args.seed)
     params = _params_from(args)
-    workers = _parallelism(args)
     os.makedirs(args.out_dir, exist_ok=True)
     tag = "reg" if kind == "regression" else "clf"
     summary = {}
     for method in ("maxent", "wknn"):
         result = run_toy_experiment(spec, method, k=args.k, params=params,
-                                    parallelism=workers)
+                                    parallelism=args.parallel)
         result.to_csv(os.path.join(args.out_dir, f"toy_{tag}_{method}.csv"))
         summary[method] = result.metrics_json()
     _write_json(summary, os.path.join(args.out_dir, f"toy_{tag}_metrics.json"))
@@ -212,7 +222,7 @@ def _cmd_predict(args) -> int:
     store = OnlineStore.from_csv(args.table, params=_params_from(args),
                                  scaler_kind=_scaler_kind(args))
     queries = _load_queries(args.queries, store.columns)
-    n = _serve(store, queries, _parallelism(args), args.out)
+    n = _serve(store, queries, args.parallel, args.out)
     print(f"predict: wrote {n} row(s) to {args.out}")
     return 0
 
@@ -235,7 +245,7 @@ def _cmd_append(args) -> int:
 
     if args.queries:
         queries = _load_queries(args.queries, store.columns)
-        _serve(store, queries, _parallelism(args), args.predictions)
+        _serve(store, queries, args.parallel, args.predictions)
         print(f"append: wrote predictions to {args.predictions}")
     return 0
 
@@ -266,7 +276,9 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------- parser
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """CLI parser; ``defaults`` (from a config file) pre-seed every flag."""
+    """CLI parser; ``defaults`` (from a config file) become the defaults of
+    the flags with those dests, on each subcommand that declares one. A key
+    that names no flag of a subcommand is ignored there."""
     parser = argparse.ArgumentParser(
         prog="maxentnn",
         description="Self-tuning maximum-entropy neighbor prediction toolkit",
@@ -274,25 +286,18 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="JSON file of flag defaults (dest names as keys)")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
-
-    def add_parser(name, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        subparsers.append(sp)
-        return sp
 
     for tag, kind in (("toy-reg", "regression"), ("toy-clf", "classification")):
-        sp = add_parser(tag, help=f"run the toy {kind} experiment")
+        sp = sub.add_parser(tag, help=f"run the toy {kind} experiment")
         sp.add_argument("--seed", type=int, default=7)
         sp.add_argument("--train", type=int, default=500)
         sp.add_argument("--eval", type=int, default=50)
         sp.add_argument("--k", type=int, default=5, help="neighbors for the wknn baseline")
         sp.add_argument("--out-dir", default="toy_out")
-        sp.add_argument("--parallel", type=int, default=None)
         _add_param_flags(sp)
         sp.set_defaults(func=lambda a, kind=kind: _cmd_toy(a, kind))
 
-    sp = add_parser("clt", help="laminate stiffness blocks for a stacking notation")
+    sp = sub.add_parser("clt", help="laminate stiffness blocks for a stacking notation")
     sp.add_argument("layup", help="notation like [90_2/45/-45]_2S")
     sp.add_argument("--e1", type=float, default=T700_PLY.e1)
     sp.add_argument("--e2", type=float, default=T700_PLY.e2)
@@ -302,7 +307,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_clt)
 
-    sp = add_parser("features", help="assemble a feature table from measurement records")
+    sp = sub.add_parser("features", help="assemble a feature table from measurement records")
     sp.add_argument("records", help="one JSON record per line")
     sp.add_argument("--failure-cycles", required=True,
                     help="JSON map of coupon id -> cycles at failure")
@@ -311,29 +316,22 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                     help="skip malformed lines instead of aborting")
     sp.set_defaults(func=_cmd_features)
 
-    sp = add_parser("predict", help="predict targets for a query file")
-    sp.add_argument("--table", required=True, help="training CSV, target column 'D' last")
+    sp = sub.add_parser("predict", help="predict targets for a query file")
+    _add_store_flags(sp)
     sp.add_argument("--queries", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--scaler", choices=("minmax_pm1", "standard", "none"),
-                    default="minmax_pm1")
-    sp.add_argument("--parallel", type=int, default=None)
-    _add_param_flags(sp)
     sp.set_defaults(func=_cmd_predict)
 
-    sp = add_parser("append", help="stream records into a store, optionally predict")
-    sp.add_argument("--table", required=True)
+    sp = sub.add_parser("append", help="stream records into a store, optionally predict")
+    _add_store_flags(sp)
     sp.add_argument("--records", required=True)
     sp.add_argument("--failure-cycles", required=True)
     sp.add_argument("--queries", default=None)
     sp.add_argument("--predictions", default="predictions.csv")
-    sp.add_argument("--scaler", choices=("minmax_pm1", "standard", "none"),
-                    default="minmax_pm1")
     sp.add_argument("--lenient", action="store_true")
-    _add_param_flags(sp)
     sp.set_defaults(func=_cmd_append)
 
-    sp = add_parser("eval", help="R^2 / MSE between predictions and targets")
+    sp = sub.add_parser("eval", help="R^2 / MSE between predictions and targets")
     sp.add_argument("--predictions", required=True)
     sp.add_argument("--truth", required=True)
     sp.add_argument("--pred-col", default="prediction")
@@ -341,24 +339,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_eval)
 
-    # a null config value leaves its flag unset, at the parser's own default
+    # a null config value leaves its flag at the parser's own default
     defaults = {dest: value for dest, value in (defaults or {}).items() if value is not None}
-    if defaults:
-        # argparse subparsers override parent defaults, so config-file
-        # values have to be planted on every subparser as well
-        for child in [parser, *subparsers]:
-            child.set_defaults(**defaults)
-            # argparse converts only string defaults, so a flag that takes a
-            # value gets the text a command line would give it, and its type
-            # check with that. argparse never checks a default against the
-            # flag's choices, so that is done here
-            for action in child._actions:
-                if action.dest in defaults and action.nargs != 0:
-                    action.default = str(action.default)
-                    if action.choices is not None and action.default not in map(str, action.choices):
-                        raise _UsageError(
-                            f"config value for {action.option_strings[0]}: invalid choice "
-                            f"{action.default!r} (choose from {', '.join(map(str, action.choices))})")
+    for child in sub.choices.values():
+        for action in child._actions:
+            if action.option_strings and action.dest in defaults:
+                # argparse converts, and so type-checks, only string defaults,
+                # on the command run: a flag that takes a value gets the text
+                # a command line would give it
+                value = defaults[action.dest]
+                action.default = value if action.nargs == 0 else str(value)
     return parser
 
 

@@ -358,6 +358,29 @@ class TestAppendAndEval:
         assert appended.read_bytes() == predicted.read_bytes()
         assert len(appended.read_text().splitlines()) == 14
 
+    def test_append_parallel_writes_the_bytes_of_one_thread(self, tmp_path):
+        table = tmp_path / "table.csv"
+        _toy_table_csv(table, m=120)
+        queries = tmp_path / "queries.csv"
+        rng = np.random.default_rng(9)
+        with open(queries, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["x1", "x2"])
+            for row in rng.uniform(0, 1, size=(30, 2)):
+                writer.writerow([repr(float(row[0])), repr(float(row[1]))])
+        records = tmp_path / "none.jsonl"
+        records.write_text("")
+        fc = tmp_path / "failure.json"
+        fc.write_text(json.dumps(FAILURE_CYCLES))
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"append_{workers}.csv"
+            assert main(["append", "--table", str(table), "--records", str(records),
+                         "--failure-cycles", str(fc), "--queries", str(queries),
+                         "--predictions", str(out), "--parallel", workers]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_eval_perfect_predictions(self, tmp_path, capsys):
         preds = tmp_path / "p.csv"
         preds.write_text("prediction\n0.1\n0.5\n0.9\n")
@@ -437,32 +460,6 @@ class TestQueryFileVariants:
         assert len(rows) == 40
         for i, row in enumerate(rows):
             assert float(row["prediction"]) == float(d[i][0])
-
-    def test_parallelism_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MAXENT_PARALLEL", "4")
-        table = tmp_path / "table.csv"
-        _toy_table_csv(table, m=40)
-        queries = tmp_path / "q.csv"
-        with open(queries, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x1", "x2"])
-            writer.writerow(["0.21", "0.33"])
-        out_env = tmp_path / "pred_env.csv"
-        assert main(["predict", "--table", str(table), "--queries", str(queries),
-                     "--out", str(out_env)]) == 0
-        monkeypatch.delenv("MAXENT_PARALLEL")
-        out_plain = tmp_path / "pred_plain.csv"
-        assert main(["predict", "--table", str(table), "--queries", str(queries),
-                     "--out", str(out_plain)]) == 0
-        assert out_env.read_bytes() == out_plain.read_bytes()
-
-    def test_non_integer_parallelism_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MAXENT_PARALLEL", "abc")
-        table = tmp_path / "table.csv"
-        _toy_table_csv(table, m=20)
-        assert main(["predict", "--table", str(table), "--queries", str(table),
-                     "--out", str(tmp_path / "pred.csv")]) == 2
-        assert "usage error:" in capsys.readouterr().err
 
 
 class TestEvalOverPredictOutput:
@@ -634,7 +631,8 @@ _FILE_CONTENTS = st.fixed_dictionaries({
                         min_size=1, max_size=2).map(json.dumps))),
     "config.json": st.one_of(
         st.dictionaries(st.sampled_from(["train", "eval", "k", "seed", "parallel", "scaler",
-                                         "it_convergence", "threshold_filter", "e1", "lenient"]),
+                                         "it_convergence", "threshold_filter", "e1", "lenient",
+                                         "func", "command"]),
                         _mostly(["2", 3, 0.5], _JSON_ODDITIES), max_size=2).map(json.dumps),
         st.text(max_size=20)),
 })
@@ -678,7 +676,8 @@ _COMMANDS = {
                     "--failure-cycles": _mostly(["fc.json"], _IN)},
                {"--queries": _mostly(["queries.csv", "table.csv"], _IN),
                 "--predictions": _OUT, "--lenient": None,
-                "--scaler": _mostly(["minmax_pm1", "none"], ["bad"]), **_PARAMS}),
+                "--scaler": _mostly(["minmax_pm1", "standard", "none"], ["bad"]),
+                "--parallel": _mostly(["1", "2"], ["0", "-2", "x"]), **_PARAMS}),
     "eval": ([], {"--predictions": _mostly(["queries.csv", "table.csv"], _IN),
                   "--truth": _mostly(["table.csv"], _IN)},
              {"--pred-col": _mostly(["prediction", "D"], ["x1", "nope"]),
@@ -724,6 +723,11 @@ _RECORD = {"coupon": "c1", "layup": 1, "cycles": 0, "condition": "baseline",
            "channels": [{"id": 1, "signal": [1.0, 2.0, 1.5], "baseline": [1.0, 1.5, 2.0]}]}
 _FEATURES = ["features", "records.jsonl", "--failure-cycles", "fc.json", "--out", "out.csv"]
 _TOY_RUN = ["toy-reg", "--train", "10", "--eval", "2", "--out-dir", "toy"]
+_SERVE_FILES = {"t.csv": "x1,x2,D\n0.1,0.2,0.3\n0.9,,0.5\n0.4,0.8,0.6\n0.7,0.3,0.2\n",
+                "q.csv": "x1,x2\n0.5,0.5\n0.3,0.4\n", "none.jsonl": "", "fc.json": '{"c1": 100}'}
+_PREDICT = ["predict", "--table", "t.csv", "--queries", "q.csv"]
+_APPEND = ["append", "--table", "t.csv", "--records", "none.jsonl", "--failure-cycles", "fc.json",
+           "--queries", "q.csv"]
 
 
 class TestExitCodeContract:
@@ -806,8 +810,35 @@ class TestExitCodeContract:
     def test_config_values_of_the_flags_types_still_apply(self):
         config = {"seed": 3, "k": 2, "threshold_filter": 0.05, "parallel": None}
         args = build_parser(config).parse_args(_TOY_RUN)
-        assert (args.seed, args.k, args.threshold_filter, args.parallel) == (3, 2, 0.05, None)
+        assert (args.seed, args.k, args.threshold_filter, args.parallel) == (3, 2, 0.05, 1)
         assert build_parser({"lenient": 0}).parse_args(_FEATURES).lenient == 0
+
+    def test_a_config_parallel_on_append_writes_what_predict_writes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in {**_SERVE_FILES, "cfg.json": '{"parallel": "2"}'}.items():
+            (tmp_path / name).write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--config", "cfg.json"] + _APPEND + ["--predictions", "append.csv"]) == 0
+            assert main(["--config", "cfg.json"] + _PREDICT + ["--out", "predict.csv"]) == 0
+        assert (tmp_path / "append.csv").read_bytes() == (tmp_path / "predict.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", [[2], 0.5])
+    def test_a_config_parallel_on_append_is_checked_as_the_flag(self, value):
+        files = {**_SERVE_FILES, "cfg.json": json.dumps({"parallel": value})}
+        code, err = _run_in_tmp(["--config", "cfg.json"] + _APPEND, files)
+        assert code == 2 and "--parallel" in err
+
+    @pytest.mark.parametrize("config, argv", [
+        ({"func": "x"}, _TOY_RUN), ({"func": "x"}, _PREDICT + ["--out", "out.csv"]),
+        ({"scaler": "bad", "table": 3}, _TOY_RUN),  # flags of other commands
+    ])
+    def test_a_config_key_that_names_no_flag_is_ignored(self, config, argv):
+        files = {**_SERVE_FILES, "cfg.json": json.dumps(config)}
+        code, err = _run_in_tmp(["--config", "cfg.json"] + argv, files)
+        assert code == 0, err
+        parser = build_parser({"func": "x", "command": "x", "e1": 3})
+        args = parser.parse_args(_PREDICT + ["--out", "out.csv"])
+        assert args.command == "predict" and callable(args.func) and not hasattr(args, "e1")
 
 
 _WITHOUT_SCIPY = """

@@ -283,10 +283,13 @@ def _full_loop_solve(pts, q, u0, params: MaxEntParams, fresh_residual: bool = Fa
     q = np.asarray(q, dtype=float)
     k = pts.shape[0]
     d2 = np.sum((pts - q) ** 2, axis=1)
-    exact = np.flatnonzero(d2 == 0.0)
-    if exact.size:
+    # a duplicate is the first row equal to q, failing that the first whose
+    # d² underflowed to zero
+    equal = [i for i in range(k) if np.array_equal(pts[i], q)]
+    zero = np.flatnonzero(d2 == 0.0).tolist()
+    if equal or zero:
         w = np.zeros(k)
-        w[exact[0]] = 1.0
+        w[(equal or zero)[0]] = 1.0
         return WeightSolution(w, 0.0, 0.0, 0, True)
 
     kmat = np.vstack([pts.T, np.ones((1, k))])
@@ -454,6 +457,12 @@ class TestFixedPointExit:
     def test_random_problems_match_the_full_loop(self, k):
         for pts, q, u0, params in _random_problems(k):
             self._assert_same(solve_weights(pts, q, u0, params), _full_loop_solve(pts, q, u0, params))
+
+    def test_a_duplicate_query_matches_the_full_loop(self):
+        # row 0's d² underflows to zero before row 1, which equals the query
+        pts, q, u0 = np.array([[1e-170], [0.0], [0.5]]), np.array([0.0]), np.ones(3)
+        self._assert_same(solve_weights(pts, q, u0, MaxEntParams()),
+                          _full_loop_solve(pts, q, u0, MaxEntParams()))
 
     def test_fixed_point_under_tolerance_converges_after_it_convergence(self, monkeypatch):
         row = np.array([[0.3, -0.2]])

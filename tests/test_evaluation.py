@@ -130,9 +130,12 @@ class TestWeightedKnn:
     def _oracle(ds, query, k):
         """The baseline from numpy's norm and a stable argsort."""
         d = np.linalg.norm(ds.points - query, axis=1)
-        exact = np.flatnonzero(d == 0.0)
-        if exact.size:
-            i = int(exact[0])
+        # a duplicate is the first row equal to the query, failing that the
+        # first whose distance underflowed to zero
+        equal = [i for i in range(len(d)) if np.array_equal(ds.points[i], query)]
+        zero = np.flatnonzero(d == 0.0).tolist()
+        if equal or zero:
+            i = (equal or zero)[0]
             return ds.labels[i] if ds.task == "regression" else int(ds.labels[i])
         order = np.argsort(d, kind="stable")[:k]
         w = 1.0 / d[order]
@@ -159,6 +162,18 @@ class TestWeightedKnn:
                     np.testing.assert_array_equal(out, expected)
                 else:
                     assert out == expected
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_a_duplicate_query_matches_the_norm_oracle(self, task):
+        # row 0's distance underflows to zero before row 1, which equals the query
+        labels = [[10.0], [20.0], [30.0]] if task == "regression" else [1, 2, 3]
+        ds = Dataset([[1e-170], [0.0], [0.5]], labels, task)
+        for k in (1, 2, 3):
+            out, expected = weighted_knn_predict(ds, [0.0], k), self._oracle(ds, [0.0], k)
+            if task == "regression":
+                np.testing.assert_array_equal(out, expected)
+            else:
+                assert out == expected
 
     def test_k_out_of_range(self):
         ds = self._toy_dataset(m=10)
