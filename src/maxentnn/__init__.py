@@ -7,14 +7,12 @@ from .core import (
     MaxEntParams,
     Prediction,
     PredictionFailure,
-    WeightSolution,
     filter_convex,
     optimize_bandwidth,
     predict_batch,
     predict_classification,
     predict_point,
     predict_regression,
-    solve_weights,
 )
 from .errors import (
     DegenerateBaselineError,

@@ -33,12 +33,10 @@ __all__ = [
     "MaxEntParams",
     "Dataset",
     "ConvexSubset",
-    "WeightSolution",
     "Prediction",
     "PredictionFailure",
     "filter_convex",
     "optimize_bandwidth",
-    "solve_weights",
     "predict_regression",
     "predict_classification",
     "predict_point",
@@ -108,7 +106,8 @@ def _as_point(values, n_features: int | None = None, name: str = "query") -> np.
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable training set: one feature row per point, plus labels.
+    """Immutable training set: an ``(m, n)`` array of points, one feature
+    row per point, plus labels.
 
     ``task`` is ``"regression"`` (labels stored as an ``(m, n_y)`` float
     array) or ``"classification"`` (labels stored as an ``(m,)`` integer
@@ -134,8 +133,6 @@ class Dataset:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
             raise InvalidInputError(f"points must be a nonempty 2-D array, got shape {pts.shape}")
         rows = _with_ones(pts)
@@ -531,7 +528,8 @@ def _neighborhood(rows: np.ndarray) -> _Neighborhood:
     return _Neighborhood(kmat, 1.0 / _spectral_bound(kmat))
 
 
-def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -> WeightSolution:
+def solve_weights(neighborhood: _Neighborhood, query: np.ndarray, initial_weights: np.ndarray,
+                  params: MaxEntParams) -> WeightSolution:
     """Iterate nonnegative weights toward solving [X^T | 1] u = [X* | 1].
 
     One iteration is an accelerated projected gradient step on
@@ -539,11 +537,12 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     ||K||_2^2 from Lanczos, see ``_spectral_bound``), clamping negatives to
     zero, plus a momentum extrapolation that is dropped whenever the
     objective rises. The extrapolated point ``z = c + beta (c - u)`` is
-    linear in the new and the last iterate, so its residual ``K z - b`` is formed from their two residuals, already
-    computed, as ``r_c + beta (r_c - r_u)``. That residual differs from a
-    fresh product by rounding only, and ``r_c`` and every test read fresh
-    products, so the rounding does not build up; an iteration without a
-    restart makes two products with K, not three. Momentum matters: the
+    linear in the new and the last iterate, so its residual ``K z - b`` is
+    formed from their two residuals, already computed, as
+    ``r_c + beta (r_c - r_u)``. That residual differs from a fresh product
+    by rounding only, and ``r_c`` and every test read fresh products, so
+    the rounding does not build up; an iteration without a restart makes
+    two products with K, not three. Momentum matters: the
     augmented system is ill-conditioned when the retained neighbors cluster
     tightly around the query, and an unaccelerated step cannot reach the
     tolerance within the iteration budget there.
@@ -577,52 +576,18 @@ def solve_weights(subset_points, query, initial_weights, params: MaxEntParams) -
     ``it_convergence`` within the cap; otherwise unconverged after
     ``it_local_min + 1``.
 
-    ``initial_weights`` are expected to be the similarities at the selected
-    bandwidth. A query that duplicates a subset point (see ``_duplicate``)
-    short-circuits to a unit weight on that point.
-
-    ``subset_points`` is a ``(k, n)`` array of rows, which are checked, or
-    the neighborhood ``predict_point`` prepares: the rows already laid out
-    as ``K`` with the step computed, so the solve starts at its loop. That
-    path runs neither the finiteness check, since ``Dataset`` rows are
-    finite, nor the duplicate scan, since ``predict_point`` has already
-    answered any query at distance zero from a row. Its results are the
-    bits the array path gives for the same rows. A neighborhood of the whole
-    table is prepared once per ``Dataset`` and shared by its queries.
+    ``neighborhood`` is the operator ``predict_point`` prepares: the
+    neighbor rows laid out as ``K`` with the step computed (see
+    ``_neighborhood``). ``query`` is the checked query point and
+    ``initial_weights`` the neighbors' similarities at the selected
+    bandwidth. Nothing is checked again here: ``Dataset`` rows are finite,
+    and ``predict_point`` has already answered any query at distance zero
+    from a row.
     """
-    if isinstance(subset_points, _Neighborhood):
-        return _iterate(subset_points.kmat, subset_points.step, query, initial_weights, params)
-    pts = np.asarray(subset_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    k = pts.shape[0]
-    if k == 0:
-        raise DegenerateNeighborhoodError("cannot solve weights over an empty subset")
-    q = _as_point(query, pts.shape[1])
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("subset points contain non-finite coordinates")
-    u0 = np.asarray(initial_weights, dtype=float)
-    if u0.shape != (k,):
-        raise InvalidInputError(f"initial_weights must have shape ({k},), got {u0.shape}")
-    if not np.all(np.isfinite(u0)):
-        raise InvalidInputError("initial weights contain non-finite values")
-
-    i = _duplicate(pts, q, _sq_distances(pts, q))
-    if i is not None:
-        w = np.zeros(k)
-        w[i] = 1.0
-        return WeightSolution(w, 0.0, 0.0, 0, True)
-
-    nb = _neighborhood(_with_ones(pts))
-    return _iterate(nb.kmat, nb.step, q, u0, params)
-
-
-def _iterate(kmat: np.ndarray, step: float, q: np.ndarray, u0: np.ndarray,
-             params: MaxEntParams) -> WeightSolution:
-    """The loop of :func:`solve_weights` over ``K = kmat`` with step ``1 / L``."""
-    b = np.append(q, 1.0)
+    kmat, step = neighborhood.kmat, neighborhood.step
+    b = np.append(query, 1.0)
     kt = kmat.T
-    q_norm = float(np.linalg.norm(q))
+    q_norm = float(np.linalg.norm(query))
     error_scale = min(1.0, 1.0 / q_norm) if q_norm > 0.0 else 1.0
 
     def cannot_converge(r: np.ndarray) -> bool:
@@ -631,7 +596,7 @@ def _iterate(kmat: np.ndarray, step: float, q: np.ndarray, u0: np.ndarray,
         y_norm = float(np.linalg.norm(y))
         return y_norm > 0.0 and error_scale * float(b @ y) / y_norm >= params.convergence_tolerance
 
-    u = np.maximum(u0, 0.0)
+    u = np.maximum(initial_weights, 0.0)
     r = kmat @ u - b
     objective = float(r @ r)
     z = u
@@ -754,9 +719,11 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     of the last solved round's holds the same rows: such a round ends as a
     local minimum before its bandwidth sweep, which would reselect the last
     neighborhood. A query that duplicates a training point (see
-    ``_duplicate``) short-circuits to that point's label.
-    Each solved neighborhood is prepared once as the solve's operator; the
-    whole table's is kept on the ``Dataset`` for its later queries.
+    ``_duplicate``) short-circuits to that point's label, so no solve sees
+    a query at distance zero from one of its rows. Each solved
+    neighborhood is prepared once as the operator ``solve_weights`` takes
+    (see ``_neighborhood``); the whole table's is kept on the ``Dataset``
+    for its later queries.
     """
     if params is None:
         params = MaxEntParams()
@@ -858,31 +825,14 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     )
 
 
-def _as_query_matrix(queries, n_features: int) -> np.ndarray:
-    arr = np.asarray(queries, dtype=float)
-    if arr.size == 0:
-        return arr.reshape(0, n_features)
-    if arr.ndim == 1:
-        if n_features == 1:
-            arr = arr.reshape(-1, 1)
-        elif arr.size == n_features:
-            arr = arr.reshape(1, -1)
-        else:
-            raise InvalidInputError(
-                f"1-D query batch of length {arr.size} does not match {n_features} features"
-            )
-    if arr.ndim != 2 or arr.shape[1] != n_features:
-        raise InvalidInputError(f"queries must be (n_queries, {n_features}), got {arr.shape}")
-    return arr
-
-
 def predict_batch(
     dataset: Dataset,
     queries,
     params: MaxEntParams | None = None,
     parallelism: int = 1,
 ) -> list:
-    """Predict every query; failures are reported per element.
+    """Predict every row of the ``(k, n)`` matrix ``queries``; failures
+    are reported per element. An empty input gives an empty list.
 
     Each element of the result is a :class:`Prediction`, or a
     :class:`PredictionFailure` if that query raised a package error. The
@@ -892,7 +842,11 @@ def predict_batch(
     """
     if params is None:
         params = MaxEntParams()
-    arr = _as_query_matrix(queries, dataset.n_features)
+    arr = np.asarray(queries, dtype=float)
+    if arr.size == 0:
+        return []
+    if arr.ndim != 2 or arr.shape[1] != dataset.n_features:
+        raise InvalidInputError(f"queries must be (n_queries, {dataset.n_features}), got {arr.shape}")
 
     def run(i: int):
         try:
@@ -903,8 +857,6 @@ def predict_batch(
             return PredictionFailure(type(exc).__name__, str(exc))
 
     n = arr.shape[0]
-    if n == 0:
-        return []
     # more threads than cores only adds switching: the solver is CPU-bound
     workers = max(1, min(int(parallelism), os.cpu_count() or 1))
     if workers == 1:

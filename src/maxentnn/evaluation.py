@@ -26,6 +26,7 @@ from .core import (
     Dataset,
     MaxEntParams,
     Prediction,
+    _as_point,
     _duplicate,
     _sq_distances,
     predict_batch,
@@ -121,16 +122,15 @@ def boundary_distances(points: np.ndarray, which: str, grid: int = 100001) -> np
 def weighted_knn_predict(dataset: Dataset, query, k: int):
     """Inverse-distance weighted k-nearest-neighbor prediction.
 
-    A query that duplicates a row (see ``core._duplicate``) returns that
-    row's label directly. Regression averages the k nearest labels with
-    weights 1/d; classification takes the 1/d-weighted vote, ties broken
-    by the smallest class id.
+    The query is checked as ``predict_point`` checks it: a 1-D vector of
+    finite coordinates, one per feature. A query that duplicates a row
+    (see ``core._duplicate``) returns that row's label directly. Regression
+    averages the k nearest labels with weights 1/d; classification takes
+    the 1/d-weighted vote, ties broken by the smallest class id.
     """
     if not (1 <= k <= dataset.n_points):
         raise ParameterError(f"k must lie in 1..{dataset.n_points}, got {k}")
-    q = np.asarray(query, dtype=float)
-    if q.shape != (dataset.n_features,):
-        raise InvalidInputError(f"query must have {dataset.n_features} coordinates")
+    q = _as_point(query, dataset.n_features)
     d2 = _sq_distances(dataset.points, q)
     i = _duplicate(dataset.points, q, d2)
     if i is not None:

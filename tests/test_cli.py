@@ -633,7 +633,8 @@ _FILE_CONTENTS = st.fixed_dictionaries({
         st.dictionaries(st.sampled_from(["train", "eval", "k", "seed", "parallel", "scaler",
                                          "it_convergence", "threshold_filter", "e1", "lenient",
                                          "func", "command"]),
-                        _mostly(["2", 3, 0.5], _JSON_ODDITIES), max_size=2).map(json.dumps),
+                        _mostly(["2", 3, 0.5], _JSON_ODDITIES), min_size=1, max_size=12
+                        ).map(json.dumps),
         st.text(max_size=20)),
 })
 
@@ -695,7 +696,7 @@ def _argvs(draw):
             if draw(dropped):
                 continue
             argv += [flag] if values is None else [flag, draw(values)]
-    if draw(_one_in(5)):
+    if draw(_one_in(2)):
         argv = ["--config", draw(_mostly(["config.json"], _IN))] + argv
     if draw(_one_in(10)):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "-"])))

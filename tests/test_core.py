@@ -25,9 +25,15 @@ from maxentnn import (
     predict_classification,
     predict_point,
     predict_regression,
+)
+from maxentnn.core import (
+    WeightSolution,
+    _checked_rows,
+    _neighborhood,
+    _spectral_bound,
+    _with_ones,
     solve_weights,
 )
-from maxentnn.core import WeightSolution, _checked_rows, _neighborhood, _spectral_bound
 from maxentnn.evaluation import weighted_knn_predict
 from maxentnn.pipeline import FeatureTable, OnlineStore
 
@@ -225,20 +231,25 @@ class TestOptimizeBandwidth:
         np.testing.assert_array_equal(subset.sq_distances, d2[subset.indices])
 
 
+def _solve(pts, q, u0, params: MaxEntParams) -> WeightSolution:
+    """``solve_weights`` over the ``(k, n)`` rows ``pts``, prepared as
+    ``predict_point`` prepares a neighborhood."""
+    return solve_weights(_neighborhood(_with_ones(np.asarray(pts, dtype=float))),
+                         np.asarray(q, dtype=float), u0, params)
+
+
 class TestSolveWeights:
-    def test_coincident_point_short_circuits(self):
-        pts = np.array([[1.0, 1.0], [3.0, 0.0], [0.0, 2.0]])
-        sol = solve_weights(pts, [1.0, 1.0], np.array([1.0, 0.5, 0.5]), MaxEntParams())
-        assert sol.converged
-        assert sol.iterations == 0
-        assert sol.residual_error == 0.0
-        assert sol.weight_sum_gap == 0.0
-        np.testing.assert_array_equal(sol.weights, [1.0, 0.0, 0.0])
+    def test_is_no_package_export(self):
+        # only predict_point calls the solve, which stays in maxentnn.core
+        for name in ("solve_weights", "WeightSolution"):
+            assert not hasattr(maxentnn, name)
+            assert name not in maxentnn.__all__ and name not in maxentnn.core.__all__
+        assert maxentnn.core.solve_weights is solve_weights
 
     def test_midpoint_splits_evenly(self):
         pts = np.array([[0.0], [1.0]])
         init = np.exp(-np.array([0.25, 0.25]))  # similarities at h = 1
-        sol = solve_weights(pts, [0.5], init, MaxEntParams())
+        sol = _solve(pts, [0.5], init, MaxEntParams())
         assert sol.converged
         assert sol.residual_error + sol.weight_sum_gap < 0.01
         np.testing.assert_allclose(sol.weights, [0.5, 0.5], atol=0.01)
@@ -248,7 +259,7 @@ class TestSolveWeights:
         query = np.array([0.2, 0.3])
         init = np.exp(-np.sum((pts - query) ** 2, axis=1))
         params = MaxEntParams(convergence_tolerance=1e-9, it_local_min=200_000)
-        sol = solve_weights(pts, query, init, params)
+        sol = _solve(pts, query, init, params)
         assert sol.converged
 
         kmat = np.vstack([pts.T, np.ones(3)])
@@ -261,12 +272,8 @@ class TestSolveWeights:
         pts = rng.uniform(-1, 1, (8, 3))
         query = rng.uniform(-1, 1, 3)
         init = np.exp(-np.sum((pts - query) ** 2, axis=1))
-        sol = solve_weights(pts, query, init, MaxEntParams())
+        sol = _solve(pts, query, init, MaxEntParams())
         assert np.all(sol.weights >= 0.0)
-
-    def test_empty_subset_raises(self):
-        with pytest.raises(DegenerateNeighborhoodError):
-            solve_weights(np.zeros((0, 2)), [0.0, 0.0], np.array([]), MaxEntParams())
 
 
 def _full_loop_solve(pts, q, u0, params: MaxEntParams, fresh_residual: bool = False) -> WeightSolution:
@@ -396,7 +403,7 @@ class TestFixedPointExit:
         counter = _StepCounter()
         with monkeypatch.context() as m:
             m.setattr(maxentnn.core, "np", counter)
-            sol = solve_weights(pts, q, u0, params)
+            sol = _solve(pts, q, u0, params)
         return sol, counter.steps
 
     def test_one_neighbor_rounds_match_the_full_loop(self, monkeypatch):
@@ -456,13 +463,7 @@ class TestFixedPointExit:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_random_problems_match_the_full_loop(self, k):
         for pts, q, u0, params in _random_problems(k):
-            self._assert_same(solve_weights(pts, q, u0, params), _full_loop_solve(pts, q, u0, params))
-
-    def test_a_duplicate_query_matches_the_full_loop(self):
-        # row 0's d² underflows to zero before row 1, which equals the query
-        pts, q, u0 = np.array([[1e-170], [0.0], [0.5]]), np.array([0.0]), np.ones(3)
-        self._assert_same(solve_weights(pts, q, u0, MaxEntParams()),
-                          _full_loop_solve(pts, q, u0, MaxEntParams()))
+            self._assert_same(_solve(pts, q, u0, params), _full_loop_solve(pts, q, u0, params))
 
     def test_fixed_point_under_tolerance_converges_after_it_convergence(self, monkeypatch):
         row = np.array([[0.3, -0.2]])
@@ -480,7 +481,7 @@ class TestFixedPointExit:
         row = np.array([[0.3, -0.2]])
         q = row[0] + 1e-4
         params = MaxEntParams(it_convergence=30, it_local_min=it_local_min)
-        sol = solve_weights(row, q, np.array([0.9]), params)
+        sol = _solve(row, q, np.array([0.9]), params)
         self._assert_same(sol, _full_loop_solve(row, q, np.array([0.9]), params))
         # the full loop converges only if it runs past it_convergence
         assert sol.converged == (it_local_min >= 30)
@@ -511,7 +512,7 @@ class TestResidualUpdate:
             counter = _StepCounter()
             with monkeypatch.context() as m:
                 m.setattr(maxentnn.core, "np", counter)
-                sol = solve_weights(pts, q, u0, params)
+                sol = _solve(pts, q, u0, params)
             self._assert_close(sol, _full_loop_solve(pts, q, u0, params, fresh_residual=True))
             capped += sol.iterations == params.it_local_min + 1
             # each restart takes a second projected step in its iteration
@@ -526,7 +527,7 @@ class TestResidualUpdate:
         # to about sqrt(eps), the minimum's flatness, while the exit and the
         # error agree to rounding.
         for pts, q, u0, params in _random_problems(k):
-            self._assert_close(solve_weights(pts, q, u0, params),
+            self._assert_close(_solve(pts, q, u0, params),
                                _full_loop_solve(pts, q, u0, params, fresh_residual=True), atol=1e-8)
 
 
@@ -566,7 +567,7 @@ class TestCertifiedStop:
                 it_convergence=int(rng.integers(1, 40)),
                 convergence_tolerance=tolerance,
             )
-            sol = solve_weights(pts, q, rng.uniform(0.01, 1.0, k), params)
+            sol = _solve(pts, q, rng.uniform(0.01, 1.0, k), params)
             assert not (sol.converged and sol.extrapolated)
             if sol.extrapolated:
                 stops += 1
@@ -580,7 +581,7 @@ class TestCertifiedStop:
         pts = rng.uniform(-1, 1, (30, 2))
         q = np.array([6.0, 6.0])
         params = MaxEntParams()
-        sol = solve_weights(pts, q, np.exp(-_sq_distances(pts, q) / 64.0), params)
+        sol = _solve(pts, q, np.exp(-_sq_distances(pts, q) / 64.0), params)
         assert sol.extrapolated and not sol.converged
         assert sol.iterations == params.it_convergence
 
@@ -590,7 +591,7 @@ class TestCertifiedStop:
         for _ in range(20):
             pts = rng.uniform(-1, 1, (12, 2))
             q = rng.uniform(-0.2, 0.2, 2)
-            sol = solve_weights(pts, q, np.exp(-_sq_distances(pts, q)), params)
+            sol = _solve(pts, q, np.exp(-_sq_distances(pts, q)), params)
             assert sol.converged and not sol.extrapolated
 
     @pytest.mark.parametrize(
@@ -626,9 +627,9 @@ class TestPreparedNeighborhood:
         calls = []
         real = maxentnn.core.solve_weights
 
-        def recording(subset_points, query, initial_weights, params):
-            sol = real(subset_points, query, initial_weights, params)
-            calls.append((subset_points, np.array(query), np.array(initial_weights), params, sol))
+        def recording(neighborhood, query, initial_weights, params):
+            sol = real(neighborhood, query, initial_weights, params)
+            calls.append((neighborhood, np.array(query), np.array(initial_weights), params, sol))
             return sol
 
         monkeypatch.setattr(maxentnn.core, "solve_weights", recording)
@@ -653,8 +654,10 @@ class TestPreparedNeighborhood:
                 predict_point(ds, rng.uniform(-scale, scale, d), params)
             whole += sum(len(c[0]) == m for c in calls[before:])
         assert whole > 0 and len(calls) > 36
+        # a gathered subset's operator, or the whole table's view, gives the
+        # bits of the same rows prepared afresh
         for nb, q, u0, params, sol in calls:
-            ref = solve_weights(nb.kmat[:-1].T, q, u0, params)
+            ref = _solve(nb.kmat[:-1].T, q, u0, params)
             assert np.array_equal(sol.weights, ref.weights)
             assert sol.residual_error == ref.residual_error
             assert sol.weight_sum_gap == ref.weight_sum_gap
@@ -799,7 +802,7 @@ class TestOneTableArray:
         pts = rng.uniform(-1, 1, (k, n))
         q, u0 = rng.uniform(-2, 2, n), rng.uniform(0, 1, k)
         params = MaxEntParams()
-        got = solve_weights(pts, q, u0, params)
+        got = _solve(pts, q, u0, params)
         nb = _vstack_neighborhood(np.hstack([pts, np.ones((k, 1))]))
         want = solve_weights(nb, q, u0, params)
         np.testing.assert_array_equal(got.weights, want.weights)
@@ -977,8 +980,6 @@ class TestPredictPoint:
         pts, q = np.array([[1e-170], [0.0], [0.5]]), np.array([0.0])
         ds = Dataset(pts, [[10.0], [20.0], [30.0]])
         np.testing.assert_array_equal(predict_point(ds, q).value, [20.0])
-        sol = solve_weights(pts, q, np.ones(3), MaxEntParams())
-        assert sol.weights.tolist() == [0.0, 1.0, 0.0] and sol.converged
         np.testing.assert_array_equal(weighted_knn_predict(ds, q, k=2), [20.0])
         clf = Dataset(pts, [1, 2, 3], "classification")
         assert predict_point(clf, q).value == weighted_knn_predict(clf, q, k=2) == 2
@@ -994,9 +995,9 @@ class TestPredictPoint:
         sizes = []
         real = maxentnn.core.solve_weights
 
-        def counting(subset_points, *args, **kwargs):
-            sizes.append(len(subset_points))
-            return real(subset_points, *args, **kwargs)
+        def counting(neighborhood, *args, **kwargs):
+            sizes.append(len(neighborhood))
+            return real(neighborhood, *args, **kwargs)
 
         monkeypatch.setattr(maxentnn.core, "solve_weights", counting)
         return sizes
@@ -1017,7 +1018,7 @@ class TestPredictPoint:
 
         rows = pts[pred.neighbor_indices]
         sims = np.exp(-np.sum((rows - q) ** 2, axis=1) / (pred.bandwidth * pred.bandwidth))
-        direct = solve_weights(rows, q, sims, params)
+        direct = _solve(rows, q, sims, params)
         assert direct.iterations == pred.iterations
         assert direct.residual_error == pred.residual_error
         assert direct.weight_sum_gap == pred.weight_sum_gap
@@ -1162,6 +1163,13 @@ class TestPredictBatch:
         assert out[1].error == "InvalidInputError"
         assert isinstance(out[2], Prediction)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_1d_batch_is_refused_not_guessed(self, n):
+        # neither one row of n features nor a column of n = 1 queries
+        ds = Dataset(np.eye(3)[:, :n], [[0.0], [1.0], [2.0]])
+        with pytest.raises(InvalidInputError, match=r"queries must be \(n_queries, %d\)" % n):
+            predict_batch(ds, [0.5] * n)
+
 
 class TestParamsValidation:
     def test_defaults_valid(self):
@@ -1199,6 +1207,10 @@ class TestDatasetValidation:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             Dataset(np.zeros((0, 2)), np.zeros((0, 1)))
+
+    def test_1d_points_are_refused_not_read_as_a_column(self):
+        with pytest.raises(InvalidInputError, match="nonempty 2-D array"):
+            Dataset([0.0, 1.0], [[0.0], [1.0]])
 
     def test_label_count_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -12,8 +12,8 @@ from maxentnn import (
     MaxEntParams,
     filter_convex,
     predict_point,
-    solve_weights,
 )
+from maxentnn.core import _neighborhood, _with_ones, solve_weights
 
 # trimmed caps keep hypothesis runs quick; every invariant is cap-independent
 FAST = MaxEntParams(it_local_min=150, max_minconvex_rounds=6)
@@ -204,7 +204,7 @@ class TestSolverInvariants:
         query = data.draw(arrays(np.float64, (n,), elements=finite))
         init = np.exp(-np.sum((pts - query) ** 2, axis=1))
         params = MaxEntParams(it_local_min=150)
-        sol = solve_weights(pts, query, init, params)
+        sol = solve_weights(_neighborhood(_with_ones(pts)), query, init, params)
         assert np.all(sol.weights >= 0.0)
         if sol.converged:
             assert sol.residual_error + sol.weight_sum_gap < params.convergence_tolerance

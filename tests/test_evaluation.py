@@ -182,6 +182,16 @@ class TestWeightedKnn:
         with pytest.raises(ParameterError):
             weighted_knn_predict(ds, [0.5, 0.5], k=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_non_finite_query_is_refused(self, task, bad):
+        # as predict_point refuses it: not a NaN blend, nor a vote over no
+        # finite distance
+        labels = np.arange(10.0).reshape(-1, 1) if task == "regression" else np.arange(10) % 2
+        ds = Dataset(self._toy_dataset(m=10).points, labels, task)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            weighted_knn_predict(ds, [bad, 0.5], k=3)
+
 
 class TestMetrics:
     def test_perfect_predictions(self):
