@@ -6,13 +6,14 @@ features (records -> feature table), predict (batch prediction), append
 
 Exit codes are stable for scripting: 0 success, 2 usage or validation
 error, 1 runtime failure. Every command is deterministic given its flags,
-input files and seed; ``--parallel`` never changes output bytes.
+input files and seed; ``--parallel`` never changes output bytes. Every
+command predicts with the published defaults, ``MaxEntParams()``; other
+predictor parameters are set through the library.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -20,8 +21,8 @@ import sys
 
 import numpy as np
 
-from .core import MaxEntParams, Prediction, predict_batch
-from .errors import IngestionError, LayupParseError, MaxentError, ParameterError
+from .core import Prediction, predict_batch
+from .errors import IngestionError, LayupParseError, MaxentError
 from .evaluation import ToySpec, metrics, run_toy_experiment
 from .laminate import (
     PlyProperties,
@@ -37,16 +38,6 @@ from .pipeline import apply_imputer, apply_scaler, fit_imputer, fit_scaler  # no
 
 class _UsageError(Exception):
     pass
-
-
-def _add_param_flags(sp: argparse.ArgumentParser) -> None:
-    # predict_batch runs below 1 as one thread and caps the count at os.cpu_count()
-    sp.add_argument("--parallel", type=int, default=1)
-    group = sp.add_argument_group("predictor parameters")
-    for f in dataclasses.fields(MaxEntParams):
-        # annotations are strings under postponed evaluation; the default's type is not
-        group.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
-                           type=type(f.default), default=f.default)
 
 
 _SCALERS = ("minmax_pm1", "standard", "none")
@@ -66,15 +57,8 @@ def _add_store_flags(sp: argparse.ArgumentParser) -> None:
     # value is, but never checks a default against choices
     sp.add_argument("--scaler", type=_scaler_name, default="minmax_pm1",
                     metavar="{" + ",".join(_SCALERS) + "}")
-    _add_param_flags(sp)
-
-
-def _params_from(args) -> MaxEntParams:
-    try:
-        return MaxEntParams(**{f.name: getattr(args, f.name)
-                               for f in dataclasses.fields(MaxEntParams)})
-    except ParameterError as exc:
-        raise _UsageError(str(exc)) from exc
+    # predict_batch runs below 1 as one thread and caps the count at os.cpu_count()
+    sp.add_argument("--parallel", type=int, default=1)
 
 
 def _scaler_kind(args) -> str | None:
@@ -116,13 +100,11 @@ def _cmd_toy(args, kind: str) -> int:
     if not 1 <= args.k <= args.train:
         raise _UsageError(f"--k must lie in 1..--train ({args.train}), got {args.k}")
     spec = ToySpec(kind, args.train, args.eval, args.seed)
-    params = _params_from(args)
     os.makedirs(args.out_dir, exist_ok=True)
     tag = "reg" if kind == "regression" else "clf"
     summary = {}
     for method in ("maxent", "wknn"):
-        result = run_toy_experiment(spec, method, k=args.k, params=params,
-                                    parallelism=args.parallel)
+        result = run_toy_experiment(spec, method, k=args.k, parallelism=args.parallel)
         result.to_csv(os.path.join(args.out_dir, f"toy_{tag}_{method}.csv"))
         summary[method] = result.metrics_json()
     _write_json(summary, os.path.join(args.out_dir, f"toy_{tag}_metrics.json"))
@@ -201,7 +183,7 @@ def _serve(store, queries, workers, path) -> int:
     """Predict the raw ``queries`` from ``store`` and write the prediction
     CSV: one row per query, an error row for each failed one. Returns the
     number of rows written."""
-    results = predict_batch(store.snapshot(), store.normalize(queries), store.params, workers)
+    results = predict_batch(store.snapshot(), store.normalize(queries), parallelism=workers)
 
     rows = []
     for i, res in enumerate(results):
@@ -219,8 +201,7 @@ def _serve(store, queries, workers, path) -> int:
 
 def _cmd_predict(args) -> int:
     # the parsed table is imputed and scaled in place and becomes the store's rows
-    store = OnlineStore.from_csv(args.table, params=_params_from(args),
-                                 scaler_kind=_scaler_kind(args))
+    store = OnlineStore.from_csv(args.table, scaler_kind=_scaler_kind(args))
     queries = _load_queries(args.queries, store.columns)
     n = _serve(store, queries, args.parallel, args.out)
     print(f"predict: wrote {n} row(s) to {args.out}")
@@ -231,8 +212,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_append(args) -> int:
     failure_cycles = _read_failure_cycles(args.failure_cycles)
-    store = OnlineStore.from_csv(args.table, params=_params_from(args),
-                                 scaler_kind=_scaler_kind(args))
+    store = OnlineStore.from_csv(args.table, scaler_kind=_scaler_kind(args))
     records, skipped = read_records(args.records, strict=not args.lenient)
     if records:
         # one append for the whole file: it copies the table once into a
@@ -294,7 +274,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--eval", type=int, default=50)
         sp.add_argument("--k", type=int, default=5, help="neighbors for the wknn baseline")
         sp.add_argument("--out-dir", default="toy_out")
-        _add_param_flags(sp)
+        sp.add_argument("--parallel", type=int, default=1)
         sp.set_defaults(func=lambda a, kind=kind: _cmd_toy(a, kind))
 
     sp = sub.add_parser("clt", help="laminate stiffness blocks for a stacking notation")

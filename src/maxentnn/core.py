@@ -93,14 +93,14 @@ class MaxEntParams:
             raise ParameterError("sweep_points must be >= 2 to bracket a bandwidth optimum")
 
 
-def _as_point(values, n_features: int | None = None, name: str = "query") -> np.ndarray:
+def _as_point(values, n_features: int) -> np.ndarray:
     q = np.asarray(values, dtype=float)
     if q.ndim != 1:
-        raise InvalidInputError(f"{name} must be a 1-D coordinate vector, got shape {q.shape}")
-    if n_features is not None and q.size != n_features:
-        raise InvalidInputError(f"{name} has {q.size} coordinates, dataset has {n_features} features")
+        raise InvalidInputError(f"query must be a 1-D coordinate vector, got shape {q.shape}")
+    if q.size != n_features:
+        raise InvalidInputError(f"query has {q.size} coordinates, dataset has {n_features} features")
     if not np.all(np.isfinite(q)):
-        raise InvalidInputError(f"{name} contains non-finite coordinates")
+        raise InvalidInputError("query contains non-finite coordinates")
     return q
 
 
@@ -505,9 +505,6 @@ class _Neighborhood:
 
     kmat: np.ndarray
     step: float
-
-    def __len__(self) -> int:
-        return self.kmat.shape[1]
 
 
 def _neighborhood(rows: np.ndarray) -> _Neighborhood:

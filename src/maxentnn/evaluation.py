@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import (
     Dataset,
-    MaxEntParams,
     Prediction,
     _as_point,
     _duplicate,
@@ -211,7 +210,7 @@ class ToyExperimentResult:
 
 
 def _predict_all(dataset: Dataset, queries: np.ndarray, method: str, k: int | None = None,
-                 params: MaxEntParams | None = None, parallelism: int = 1, more_labels=()):
+                 parallelism: int = 1, more_labels=()):
     """Predict every query with ``method``; returns the ``(n, n_y)`` values
     and one ``(n_neighbors, h_star, exit_reason)`` triple per query.
 
@@ -225,7 +224,7 @@ def _predict_all(dataset: Dataset, queries: np.ndarray, method: str, k: int | No
     search over that label's ``Dataset`` would.
     """
     if method == "maxent":
-        results = predict_batch(dataset, queries, params, parallelism)
+        results = predict_batch(dataset, queries, parallelism=parallelism)
         for i, res in enumerate(results):
             if not isinstance(res, Prediction):
                 raise InvalidInputError(f"query {i} failed: {res.message}")
@@ -254,7 +253,6 @@ def run_toy_experiment(
     spec: ToySpec,
     method: str = "maxent",
     k: int = 5,
-    params: MaxEntParams | None = None,
     parallelism: int = 1,
 ) -> ToyExperimentResult:
     """Generate seeded toy data, predict the diagonal, report metrics.
@@ -275,7 +273,7 @@ def run_toy_experiment(
     truth = np.column_stack(truth_fn(queries[:, 0], queries[:, 1]))
 
     preds, diag = _predict_all(Dataset(train, labels[0], spec.kind), queries, method, k,
-                               params, parallelism, labels[1:])
+                               parallelism, labels[1:])
 
     rows = [
         dict(zip(ToyExperimentResult._DUMP_COLUMNS,
@@ -359,7 +357,6 @@ def run_synthetic_benchmark(
     seed: int = 2024,
     ks=(1, 5, 10, 20, 40, 80),
     test_fraction: float = 0.2,
-    params: MaxEntParams | None = None,
     parallelism: int = 1,
 ) -> dict:
     """Test-set R^2 of the entropy predictor vs weighted k-NN on synthetic data.
@@ -379,7 +376,7 @@ def run_synthetic_benchmark(
     ds = store.snapshot()
     x_test, y_test = store.normalize(x[test_idx]), y[test_idx]
 
-    preds, _ = _predict_all(ds, x_test, "maxent", params=params, parallelism=parallelism)
+    preds, _ = _predict_all(ds, x_test, "maxent", parallelism=parallelism)
     report = metrics(y_test, preds)
     out = {
         "r2_maxent": report.r2,

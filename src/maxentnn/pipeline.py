@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import functools
 import itertools
 import json
 import math
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MaxEntParams, Prediction, _checked_rows, _with_ones, predict_point
+from .core import Dataset, Prediction, _checked_rows, _with_ones, predict_point
 from .errors import IngestionError, InvalidInputError
 from .laminate import STIFFNESS_COLUMNS, abd_matrices, standard_layups, stiffness_feature_row
 from .signals import _channel_features, miner_damage_index
@@ -124,8 +123,12 @@ class MeasurementRecord:
         object.__setattr__(self, "channels", tuple(self.channels))
 
 
-# layup ids with a one-hot column; a custom catalog may hold no other id
-_LAYUP_IDS = (1, 2, 3)
+# the 18 stiffness terms of each coupon layup, read-only, keyed by its id;
+# each id has a one-hot column, and a record may name no other
+_STIFFNESS_ROWS = {i: stiffness_feature_row(abd_matrices(layup))
+                   for i, layup in standard_layups().items()}
+for _row in _STIFFNESS_ROWS.values():
+    _row.setflags(write=False)
 
 
 def _build_columns() -> tuple:
@@ -133,7 +136,7 @@ def _build_columns() -> tuple:
     cols += [f"cc_c{i}" for i in range(1, N_CHANNELS + 1)]
     cols += list(STIFFNESS_COLUMNS)
     cols += [f"condition_{i}" for i in range(4)]
-    cols += [f"layup_{i}" for i in _LAYUP_IDS]
+    cols += [f"layup_{i}" for i in _STIFFNESS_ROWS]
     cols.append("load")
     return tuple(cols)
 
@@ -145,35 +148,19 @@ TABLE_COLUMNS = FEATURE_COLUMNS + (TARGET_COLUMN,)
 _N_FEATURES = len(FEATURE_COLUMNS)  # 530
 
 
-_STANDARD_LAYUPS = standard_layups()
-
-
-@functools.lru_cache(maxsize=16)
-def _stiffness_row(layup) -> np.ndarray:
-    """The 18 stiffness terms of a layup, computed once and kept read-only."""
-    row = stiffness_feature_row(abd_matrices(layup))
-    row.setflags(write=False)
-    return row
-
-
-def build_feature_row(record, layups=None, failure_cycles=None):
+def build_feature_row(record, failure_cycles):
     """Turn one record into (features, mask, target).
 
-    ``layups`` maps layup id -> Layup (defaults to the three coupon stacks;
-    a record's id must lie in 1..3, the one-hot layup columns) and
-    ``failure_cycles`` maps coupon id -> cycles at failure. Returns the
-    530-wide feature vector, whose missing cells (absent channels, dead
+    ``failure_cycles`` maps coupon id -> cycles at failure, and the
+    record's layup id must be one of the three coupon stacks, 1..3. Returns
+    the 530-wide feature vector, whose missing cells (absent channels, dead
     baselines) are NaN, the boolean mask ``np.isnan(features)`` and the
     damage-fraction target.
     """
-    if layups is None:
-        layups = _STANDARD_LAYUPS
-    if failure_cycles is None or record.coupon_id not in failure_cycles:
+    if record.coupon_id not in failure_cycles:
         raise IngestionError(f"unknown coupon {record.coupon_id!r}: no failure cycle count")
-    if record.layup_id not in layups:
-        raise IngestionError(f"unknown layup id {record.layup_id!r}")
-    if record.layup_id not in _LAYUP_IDS:
-        raise IngestionError(f"layup id {record.layup_id!r} has no one-hot column (ids 1..3)")
+    if record.layup_id not in _STIFFNESS_ROWS:
+        raise IngestionError(f"unknown layup id {record.layup_id!r}: no one-hot column (ids 1..3)")
 
     # absent channels and dead baselines stay NaN
     features = np.full(_N_FEATURES, np.nan)
@@ -188,7 +175,7 @@ def build_feature_row(record, layups=None, failure_cycles=None):
             [ch.signal for ch in channels], [ch.baseline for ch in channels])
 
     base = 2 * N_CHANNELS
-    features[base : base + 18] = _stiffness_row(layups[record.layup_id])
+    features[base : base + 18] = _STIFFNESS_ROWS[record.layup_id]
 
     base += 18
     features[base : base + 4] = 0.0
@@ -232,8 +219,8 @@ class FeatureTable:
         return self.rows.shape[0]
 
     @classmethod
-    def from_records(cls, records, layups=None, failure_cycles=None) -> "FeatureTable":
-        triples = [build_feature_row(r, layups, failure_cycles) for r in records]
+    def from_records(cls, records, failure_cycles) -> "FeatureTable":
+        triples = [build_feature_row(r, failure_cycles) for r in records]
         if not triples:
             return cls(np.zeros((0, _N_FEATURES)), np.zeros(0))
         rows = np.stack([t[0] for t in triples])
@@ -604,10 +591,9 @@ class OnlineStore:
     # nothing is ever refitted; kept for callers that report the refit count
     refit_count = 0
 
-    def __init__(self, columns, params: MaxEntParams, imputer: ImputerSpec,
-                 scaler: ScalerSpec | None, dataset: Dataset):
+    def __init__(self, columns, imputer: ImputerSpec, scaler: ScalerSpec | None,
+                 dataset: Dataset):
         self.columns = tuple(columns)
-        self.params = params
         self.imputer = imputer
         self.scaler = scaler
         self._dataset = dataset
@@ -618,12 +604,8 @@ class OnlineStore:
         return {**self.__dict__, "_buffer": None}
 
     @classmethod
-    def from_table(
-        cls,
-        table: FeatureTable,
-        params: MaxEntParams | None = None,
-        scaler_kind: str | None = "minmax_pm1",
-    ) -> "OnlineStore":
+    def from_table(cls, table: FeatureTable,
+                   scaler_kind: str | None = "minmax_pm1") -> "OnlineStore":
         """Impute, scale and wrap a table for the predictor.
 
         Pass ``scaler_kind=None`` to skip scaling (the rows must then
@@ -636,15 +618,10 @@ class OnlineStore:
         """
         imputer = fit_imputer(table.rows)
         rows = _with_ones(table.rows)  # made after the medians, so their blocks come first
-        return cls._build(table.columns, imputer, rows, table.targets, params, scaler_kind)
+        return cls._build(table.columns, imputer, rows, table.targets, scaler_kind)
 
     @classmethod
-    def from_csv(
-        cls,
-        path,
-        params: MaxEntParams | None = None,
-        scaler_kind: str | None = "minmax_pm1",
-    ) -> "OnlineStore":
+    def from_csv(cls, path, scaler_kind: str | None = "minmax_pm1") -> "OnlineStore":
         """The store over a headered CSV table whose last column is the
         target ``D``; the other header names become ``columns`` and empty
         cells are missing (NaN).
@@ -658,11 +635,10 @@ class OnlineStore:
         """
         header, data = read_numeric_csv(path)
         targets = _checked_targets(path, header, data).copy()
-        return cls._build(header[:-1], fit_imputer(data[:, :-1]), data, targets, params,
-                          scaler_kind)
+        return cls._build(header[:-1], fit_imputer(data[:, :-1]), data, targets, scaler_kind)
 
     @classmethod
-    def _build(cls, columns, imputer: ImputerSpec, rows: np.ndarray, targets, params,
+    def _build(cls, columns, imputer: ImputerSpec, rows: np.ndarray, targets,
                scaler_kind) -> "OnlineStore":
         """The store over ``rows``, a C-ordered ``(m, n + 1)`` array that no
         caller keeps, whose first n columns hold the raw table the imputer
@@ -676,8 +652,7 @@ class OnlineStore:
             scaler = fit_scaler(points, scaler_kind)
             apply_scaler(scaler, points, out=points)
         labels = _checked_rows(rows, targets, "regression")
-        return cls(columns, params or MaxEntParams(), imputer, scaler,
-                   Dataset._prefix(rows, labels, len(rows)))
+        return cls(columns, imputer, scaler, Dataset._prefix(rows, labels, len(rows)))
 
     def __len__(self) -> int:
         return self._dataset.n_points
@@ -733,4 +708,4 @@ class OnlineStore:
 
     def predict(self, features) -> Prediction:
         """Predict the target at a raw (unscaled) feature vector."""
-        return predict_point(self.snapshot(), self.normalize(features), self.params)
+        return predict_point(self.snapshot(), self.normalize(features))

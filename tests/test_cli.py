@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxentnn
-from maxentnn.cli import _params_from, build_parser, main
+from maxentnn.cli import build_parser, main
 from maxentnn.core import MaxEntParams
 from maxentnn.laminate import T700_PLY, ply_stiffness_q12
 from maxentnn.pipeline import (
@@ -103,10 +103,12 @@ class TestToyCommands:
         assert "--k" in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
 
-    def test_bad_param_override_is_usage_error(self, tmp_path):
+    def test_bad_param_override_is_usage_error(self, tmp_path, capsys):
+        # the commands declare no predictor flags: argparse rejects one as unknown
         code = main(["toy-reg", "--train", "20", "--eval", "4",
                      "--threshold-filter", "0.0", "--out-dir", str(tmp_path / "x")])
         assert code == 2
+        assert "unrecognized arguments: --threshold-filter" in capsys.readouterr().err
 
 
 class TestCltCommand:
@@ -200,12 +202,13 @@ class TestFailureCyclesFile:
 
 
 class TestParamFlags:
-    def test_every_field_default_as_its_flag_gives_the_defaults(self):
-        argv = ["toy-reg"]
-        for f in dataclasses.fields(MaxEntParams):
-            argv += [f"--{f.name.replace('_', '-')}", str(f.default)]
-        args = build_parser().parse_args(argv)
-        assert _params_from(args) == MaxEntParams()
+    """Every command predicts with ``MaxEntParams()``; none takes a predictor flag."""
+
+    def test_no_subcommand_declares_a_predictor_flag(self):
+        fields = {f.name for f in dataclasses.fields(MaxEntParams)}
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for name, child in sub.choices.items():
+            assert fields.isdisjoint(a.dest for a in child._actions), name
 
 
 class TestPredictCommand:
@@ -642,18 +645,11 @@ _IN = ["missing.csv", "."]
 _OUT = _mostly(["out.csv"], ["no_such_dir/out.csv", "."])
 _INTS = _mostly(["1", "2", "3", "5"], ["0", "-1", "x", "1.5", ""])
 _FLOATS = _mostly(["0.5", "2", "1e3"], ["0", "-1", "1e-300", "1e308", "nan", "inf", "abc"])
-_PARAMS = {
-    "--threshold-filter": _mostly(["0.01", "0.1"], ["0", "1", "nan", "x"]),
-    "--convergence-tolerance": _mostly(["0.01", "0.1"], ["0", "-1", "inf"]),
-    "--it-convergence": _mostly(["5", "20"], ["0", "-3", "2.5"]),
-    "--sweep-points": _mostly(["8", "64"], ["0", "1", "x"]),
-    "--max-minconvex-rounds": _mostly(["3", "20"], ["0", "-1"]),
-}
 # a toy always gets both sizes: the 500-point default takes seconds a run
 _TOY_SIZES = st.tuples(_mostly(["10", "20"], ["0", "-1", "x"]), _mostly(["2", "3"], ["0", "x"])
                        ).map(lambda sizes: ["--train", sizes[0], "--eval", sizes[1]])
 _TOY = {"--seed": _INTS, "--k": _INTS, "--out-dir": _OUT,
-        "--parallel": _mostly(["1", "2"], ["0", "-2", "x"]), **_PARAMS}
+        "--parallel": _mostly(["1", "2"], ["0", "-2", "x"])}
 # each subcommand's leading arguments, then its flags with what each takes
 # (None: no value); required flags come first and are dropped one time in ten
 _COMMANDS = {
@@ -671,14 +667,14 @@ _COMMANDS = {
     "predict": ([], {"--table": _mostly(["table.csv"], _IN),
                      "--queries": _mostly(["queries.csv", "table.csv"], _IN), "--out": _OUT},
                 {"--scaler": _mostly(["minmax_pm1", "standard", "none"], ["bad"]),
-                 "--parallel": _mostly(["1", "2"], ["0", "-2", "x"]), **_PARAMS}),
+                 "--parallel": _mostly(["1", "2"], ["0", "-2", "x"])}),
     "append": ([], {"--table": _mostly(["table.csv"], _IN),
                     "--records": _mostly(["records.jsonl"], _IN),
                     "--failure-cycles": _mostly(["fc.json"], _IN)},
                {"--queries": _mostly(["queries.csv", "table.csv"], _IN),
                 "--predictions": _OUT, "--lenient": None,
                 "--scaler": _mostly(["minmax_pm1", "standard", "none"], ["bad"]),
-                "--parallel": _mostly(["1", "2"], ["0", "-2", "x"]), **_PARAMS}),
+                "--parallel": _mostly(["1", "2"], ["0", "-2", "x"])}),
     "eval": ([], {"--predictions": _mostly(["queries.csv", "table.csv"], _IN),
                   "--truth": _mostly(["table.csv"], _IN)},
              {"--pred-col": _mostly(["prediction", "D"], ["x1", "nope"]),
@@ -775,7 +771,7 @@ class TestExitCodeContract:
         assert code == 2 and "usage" in err and "plies" in err
 
     @pytest.mark.parametrize("config", [{"seed": 2.5}, {"seed": -1}, {"k": [2]},
-                                        {"threshold_filter": "x"}])
+                                        {"parallel": "x"}])
     def test_config_values_are_checked_as_flag_values(self, config):
         code, err = _run_in_tmp(["--config", "cfg.json"] + _TOY_RUN,
                                 {"cfg.json": json.dumps(config)})
@@ -797,11 +793,16 @@ class TestExitCodeContract:
         code, err = _run_in_tmp(["--config", "cfg.json"] + toy_run, {"cfg.json": json.dumps(config)})
         assert code == 0, err
 
-    def test_null_scaler_in_a_config_writes_what_no_config_does(self, tmp_path, monkeypatch):
+    # a null scaler stays at its default, and predictor fields name no flag
+    @pytest.mark.parametrize("config", ['{"scaler": null}',
+                                        '{"threshold_filter": 0.5, "it_local_min": 3}'],
+                             ids=["null-scaler", "predictor-fields"])
+    def test_a_config_that_sets_no_flag_writes_what_no_config_does(self, tmp_path, monkeypatch,
+                                                                   config):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "t.csv").write_text("x1,D\n0.1,0.2\n0.5,0.4\n0.9,0.3\n")
         (tmp_path / "q.csv").write_text("x1\n0.3\n")  # not a table row, so scaling shows
-        (tmp_path / "cfg.json").write_text('{"scaler": null}')
+        (tmp_path / "cfg.json").write_text(config)
         predict = ["predict", "--table", "t.csv", "--queries", "q.csv"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["--config", "cfg.json"] + predict + ["--out", "config.csv"]) == 0
@@ -809,9 +810,10 @@ class TestExitCodeContract:
         assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_config_values_of_the_flags_types_still_apply(self):
-        config = {"seed": 3, "k": 2, "threshold_filter": 0.05, "parallel": None}
+        config = {"seed": 3, "k": 2, "parallel": None}
         args = build_parser(config).parse_args(_TOY_RUN)
-        assert (args.seed, args.k, args.threshold_filter, args.parallel) == (3, 2, 0.05, 1)
+        assert (args.seed, args.k, args.parallel) == (3, 2, 1)
+        assert build_parser({"e1": 1.5e11}).parse_args(["clt", "[0]"]).e1 == 1.5e11
         assert build_parser({"lenient": 0}).parse_args(_FEATURES).lenient == 0
 
     def test_a_config_parallel_on_append_writes_what_predict_writes(self, tmp_path, monkeypatch):

@@ -652,7 +652,7 @@ class TestPreparedNeighborhood:
             # queries inside the cloud, near its edge and far outside it
             for scale in (0.5, 1.5, 8.0):
                 predict_point(ds, rng.uniform(-scale, scale, d), params)
-            whole += sum(len(c[0]) == m for c in calls[before:])
+            whole += sum(c[0].kmat.shape[1] == m for c in calls[before:])
         assert whole > 0 and len(calls) > 36
         # a gathered subset's operator, or the whole table's view, gives the
         # bits of the same rows prepared afresh
@@ -996,7 +996,7 @@ class TestPredictPoint:
         real = maxentnn.core.solve_weights
 
         def counting(neighborhood, *args, **kwargs):
-            sizes.append(len(neighborhood))
+            sizes.append(neighborhood.kmat.shape[1])
             return real(neighborhood, *args, **kwargs)
 
         monkeypatch.setattr(maxentnn.core, "solve_weights", counting)

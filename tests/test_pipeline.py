@@ -161,18 +161,16 @@ class TestBuildFeatureRow:
         record = baseline_record(coupon="NOPE")
         with pytest.raises(IngestionError):
             build_feature_row(record, failure_cycles=FAILURE_CYCLES)
-        bad_layup = MeasurementRecord("L1S11", 1, 0, Condition.BASELINE)
-        with pytest.raises(IngestionError):
-            build_feature_row(bad_layup, layups={2: standard_layups()[2]},
-                              failure_cycles=FAILURE_CYCLES)
+        bad_layup = MeasurementRecord("L1S11", 7, 0, Condition.BASELINE)
+        with pytest.raises(IngestionError, match="unknown layup id 7"):
+            build_feature_row(bad_layup, failure_cycles=FAILURE_CYCLES)
 
     @pytest.mark.parametrize("layup_id", [0, -1, 4, 5])
     def test_layup_id_without_a_one_hot_column_is_rejected(self, layup_id):
-        # a custom catalog may name any id, but only 1..3 have a layup column
+        # only the coupon layups 1..3 have a layup column
         record = MeasurementRecord("L1S11", layup_id, 0, Condition.BASELINE)
         with pytest.raises(IngestionError, match="one-hot"):
-            build_feature_row(record, layups={layup_id: standard_layups()[1]},
-                              failure_cycles=FAILURE_CYCLES)
+            build_feature_row(record, failure_cycles=FAILURE_CYCLES)
 
     def test_load_requires_loaded_condition(self):
         with pytest.raises(IngestionError):
