@@ -40,29 +40,11 @@ class _UsageError(Exception):
     pass
 
 
-_SCALERS = ("minmax_pm1", "standard", "none")
-
-
-def _scaler_name(text: str) -> str:
-    if text not in _SCALERS:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice {text!r} (choose from {', '.join(_SCALERS)})")
-    return text
-
-
 def _add_store_flags(sp: argparse.ArgumentParser) -> None:
     """The flags of a command that serves queries from a table's store."""
     sp.add_argument("--table", required=True, help="training CSV, target column 'D' last")
-    # a type, not choices: argparse type-checks a string default, as a config
-    # value is, but never checks a default against choices
-    sp.add_argument("--scaler", type=_scaler_name, default="minmax_pm1",
-                    metavar="{" + ",".join(_SCALERS) + "}")
     # predict_batch runs below 1 as one thread and caps the count at os.cpu_count()
     sp.add_argument("--parallel", type=int, default=1)
-
-
-def _scaler_kind(args) -> str | None:
-    return None if args.scaler == "none" else args.scaler
 
 
 def _read_json_object(path: str, error, what: str) -> dict:
@@ -201,7 +183,7 @@ def _serve(store, queries, workers, path) -> int:
 
 def _cmd_predict(args) -> int:
     # the parsed table is imputed and scaled in place and becomes the store's rows
-    store = OnlineStore.from_csv(args.table, scaler_kind=_scaler_kind(args))
+    store = OnlineStore.from_csv(args.table)
     queries = _load_queries(args.queries, store.columns)
     n = _serve(store, queries, args.parallel, args.out)
     print(f"predict: wrote {n} row(s) to {args.out}")
@@ -212,7 +194,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_append(args) -> int:
     failure_cycles = _read_failure_cycles(args.failure_cycles)
-    store = OnlineStore.from_csv(args.table, scaler_kind=_scaler_kind(args))
+    store = OnlineStore.from_csv(args.table)
     records, skipped = read_records(args.records, strict=not args.lenient)
     if records:
         # one append for the whole file: it copies the table once into a

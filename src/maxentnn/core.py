@@ -14,6 +14,7 @@ between queries and are picked up immediately.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -79,18 +80,23 @@ class MaxEntParams:
         # a bool is an int, but True is no count or tolerance
         for name in positive:
             v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
                 raise ParameterError(f"{name} must be strictly positive and finite, got {v!r}")
+            object.__setattr__(self, name, float(v))  # so no float32 narrows the arithmetic
         for name in ("threshold_filter", "threshold_entropy"):
             if getattr(self, name) >= 1.0:
                 raise ParameterError(f"{name} compares similarities in (0, 1] and must be < 1")
         counts = ("it_convergence", "it_local_min", "sweep_points", "max_minconvex_rounds")
         for name in counts:
             v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, int) and v >= 1):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Integral) and v >= 1):
                 raise ParameterError(f"{name} must be an integer >= 1, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.sweep_points < 2:
             raise ParameterError("sweep_points must be >= 2 to bracket a bandwidth optimum")
+
+
+_DEFAULT_PARAMS = MaxEntParams()  # shared by every call that passes no params
 
 
 def _as_point(values, n_features: int) -> np.ndarray:
@@ -393,8 +399,9 @@ def filter_convex(sq_distances, h: float, threshold: float) -> ConvexSubset:
     d < h * sqrt(-ln threshold). An empty result is a legal outcome; the
     caller decides whether to enlarge ``h``.
     """
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
+    if isinstance(h, bool) or not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0):
         raise ParameterError(f"bandwidth must be strictly positive and finite, got {h!r}")
+    h = float(h)  # a float32 h would square to a float32 hsq
     if not (0.0 < threshold < 1.0):
         raise ParameterError(f"threshold must lie in (0, 1), got {threshold!r}")
     d2 = np.asarray(sq_distances, dtype=float)
@@ -413,7 +420,7 @@ def filter_convex(sq_distances, h: float, threshold: float) -> ConvexSubset:
         with np.errstate(over="ignore"):
             vals = np.exp(-d2 / hsq)
     keep = vals > threshold
-    return ConvexSubset(np.flatnonzero(keep), d2[keep], vals[keep], float(h))
+    return ConvexSubset(np.flatnonzero(keep), d2[keep], vals[keep], h)
 
 
 def optimize_bandwidth(prefilter: ConvexSubset, params: MaxEntParams) -> ConvexSubset:
@@ -723,7 +730,7 @@ def predict_point(dataset: Dataset, query, params: MaxEntParams | None = None) -
     for its later queries.
     """
     if params is None:
-        params = MaxEntParams()
+        params = _DEFAULT_PARAMS
     q = _as_point(query, dataset.n_features)
 
     d2 = _sq_distances(dataset.points, q)
@@ -838,7 +845,7 @@ def predict_batch(
     cannot change any value.
     """
     if params is None:
-        params = MaxEntParams()
+        params = _DEFAULT_PARAMS
     arr = np.asarray(queries, dtype=float)
     if arr.size == 0:
         return []

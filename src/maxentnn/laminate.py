@@ -7,6 +7,7 @@ out in GPa*mm (equivalently kN/mm), B in GPa*mm^2 and D in GPa*mm^3.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -42,12 +43,15 @@ class PlyProperties:
     thickness: float
 
     def __post_init__(self):
+        # numpy scalars are stored as Python floats, so no float32 narrows the arithmetic
         for name in ("e1", "e2", "g12", "thickness"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
                 raise InvalidMaterialError(f"{name} must be strictly positive, got {v!r}")
-        if not (0.0 < self.nu12 < 0.5):
+            object.__setattr__(self, name, float(v))
+        if not (isinstance(self.nu12, numbers.Real) and 0.0 < self.nu12 < 0.5):
             raise InvalidMaterialError(f"nu12 must lie in (0, 0.5), got {self.nu12!r}")
+        object.__setattr__(self, "nu12", float(self.nu12))
         if self.nu12 * self.nu12 * self.e2 / self.e1 >= 1.0:
             raise InvalidMaterialError("compliance is not positive definite for these constants")
 

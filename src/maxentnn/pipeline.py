@@ -456,9 +456,8 @@ class ImputerSpec:
     medians: np.ndarray
 
 
-# The complete columns' medians, and the standard scaler's statistics, are
-# taken about this many bytes of the table at a time, so no table-sized copy
-# is made.
+# The complete columns' medians are taken about this many bytes of the
+# table at a time, so no table-sized copy is made.
 _COLUMN_BLOCK_BYTES = 512 * 1024
 
 
@@ -503,53 +502,22 @@ def apply_imputer(spec: ImputerSpec, rows: np.ndarray, out: np.ndarray | None = 
 
 @dataclass(frozen=True)
 class ScalerSpec:
-    """Per-column affine normalization fitted on training rows only.
+    """Per-column map of the training min/max onto [-1, 1]; a constant column maps to 0."""
 
-    ``minmax_pm1`` maps the training min/max to [-1, 1]; ``standard`` maps
-    to zero mean and unit variance. Constant columns map to 0 and are
-    flagged, so their transform is not invertible.
-    """
-
-    kind: str
     center: np.ndarray
     scale: np.ndarray
-    constant: np.ndarray
 
 
-def fit_scaler(rows: np.ndarray, kind: str = "minmax_pm1") -> ScalerSpec:
-    """Fit ``kind`` on the complete matrix ``rows``.
-
-    ``standard`` takes each column's mean and standard deviation
-    ``_COLUMN_BLOCK_BYTES`` of the table at a time, so ``std``'s centred
-    temporary is one block, not the table. A block of two or more columns
-    is reduced row by row, as the whole matrix is, so the bits are those
-    of ``x.mean(axis=0)`` and ``x.std(axis=0)``; a one-column block would
-    be summed pairwise, so none is made unless the table has one column.
-    """
+def fit_scaler(rows: np.ndarray) -> ScalerSpec:
+    """Fit the [-1, 1] min-max map on the complete matrix ``rows``."""
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise InvalidInputError(f"scaler needs a nonempty 2-D matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("scaler input must be complete; impute missing cells first")
-    if kind == "minmax_pm1":
-        lo, hi = x.min(axis=0), x.max(axis=0)
-        center = 0.5 * (lo + hi)
-        scale = 0.5 * (hi - lo)
-    elif kind == "standard":
-        center, scale = np.empty(x.shape[1]), np.empty(x.shape[1])
-        step = max(2, _COLUMN_BLOCK_BYTES // (8 * x.shape[0]))
-        edges = list(range(0, x.shape[1], step)) + [x.shape[1]]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            del edges[-2]  # the last column joins the block before it
-        for start, stop in zip(edges, edges[1:]):
-            block = x[:, start:stop]
-            center[start:stop] = block.mean(axis=0)
-            scale[start:stop] = block.std(axis=0)
-    else:
-        raise InvalidInputError(f"unknown scaler kind {kind!r}")
-    constant = scale == 0.0
-    scale = np.where(constant, 1.0, scale)
-    return ScalerSpec(kind, center, scale, constant)
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    scale = 0.5 * (hi - lo)
+    return ScalerSpec(0.5 * (lo + hi), np.where(scale == 0.0, 1.0, scale))
 
 
 def apply_scaler(spec: ScalerSpec, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -568,10 +536,10 @@ _GROWTH = 1.5
 class OnlineStore:
     """Append-only feature store serving predictions without any retraining.
 
-    Built by ``from_csv`` or ``from_table``, which fit the imputer and
-    scaler on the table and freeze them; appended rows and queries are
-    normalized with those frozen statistics, so predictions made before an
-    append are never changed by it.
+    Built by ``from_csv`` or ``from_table``, which fit the imputer and the
+    [-1, 1] min-max scaler on the table and freeze them; appended rows and
+    queries are normalized with those frozen statistics, so predictions
+    made before an append are never changed by it.
 
     The store's state is one immutable ``Dataset``, which ``snapshot()``
     returns as is. The built store's ``Dataset`` holds the exact-sized
@@ -591,8 +559,7 @@ class OnlineStore:
     # nothing is ever refitted; kept for callers that report the refit count
     refit_count = 0
 
-    def __init__(self, columns, imputer: ImputerSpec, scaler: ScalerSpec | None,
-                 dataset: Dataset):
+    def __init__(self, columns, imputer: ImputerSpec, scaler: ScalerSpec, dataset: Dataset):
         self.columns = tuple(columns)
         self.imputer = imputer
         self.scaler = scaler
@@ -604,12 +571,8 @@ class OnlineStore:
         return {**self.__dict__, "_buffer": None}
 
     @classmethod
-    def from_table(cls, table: FeatureTable,
-                   scaler_kind: str | None = "minmax_pm1") -> "OnlineStore":
+    def from_table(cls, table: FeatureTable) -> "OnlineStore":
         """Impute, scale and wrap a table for the predictor.
-
-        Pass ``scaler_kind=None`` to skip scaling (the rows must then
-        already be normalized).
 
         The table is copied once, into the ``Dataset``'s ``[X | 1]`` rows,
         where it is imputed and scaled in place, so loading holds the
@@ -618,10 +581,10 @@ class OnlineStore:
         """
         imputer = fit_imputer(table.rows)
         rows = _with_ones(table.rows)  # made after the medians, so their blocks come first
-        return cls._build(table.columns, imputer, rows, table.targets, scaler_kind)
+        return cls._build(table.columns, imputer, rows, table.targets)
 
     @classmethod
-    def from_csv(cls, path, scaler_kind: str | None = "minmax_pm1") -> "OnlineStore":
+    def from_csv(cls, path) -> "OnlineStore":
         """The store over a headered CSV table whose last column is the
         target ``D``; the other header names become ``columns`` and empty
         cells are missing (NaN).
@@ -635,11 +598,10 @@ class OnlineStore:
         """
         header, data = read_numeric_csv(path)
         targets = _checked_targets(path, header, data).copy()
-        return cls._build(header[:-1], fit_imputer(data[:, :-1]), data, targets, scaler_kind)
+        return cls._build(header[:-1], fit_imputer(data[:, :-1]), data, targets)
 
     @classmethod
-    def _build(cls, columns, imputer: ImputerSpec, rows: np.ndarray, targets,
-               scaler_kind) -> "OnlineStore":
+    def _build(cls, columns, imputer: ImputerSpec, rows: np.ndarray, targets) -> "OnlineStore":
         """The store over ``rows``, a C-ordered ``(m, n + 1)`` array that no
         caller keeps, whose first n columns hold the raw table the imputer
         was fitted on. They are imputed and scaled in place, and the array,
@@ -647,10 +609,8 @@ class OnlineStore:
         rows."""
         points = rows[:, :-1]
         apply_imputer(imputer, points, out=points)
-        scaler = None
-        if scaler_kind is not None:
-            scaler = fit_scaler(points, scaler_kind)
-            apply_scaler(scaler, points, out=points)
+        scaler = fit_scaler(points)
+        apply_scaler(scaler, points, out=points)
         labels = _checked_rows(rows, targets, "regression")
         return cls(columns, imputer, scaler, Dataset._prefix(rows, labels, len(rows)))
 
@@ -668,7 +628,7 @@ class OnlineStore:
             raise IngestionError("infinite feature value; only NaN marks a missing cell")
         if np.isnan(x).any():
             x = apply_imputer(self.imputer, x)
-        return x if self.scaler is None else apply_scaler(self.scaler, x)
+        return apply_scaler(self.scaler, x)
 
     def append_rows(self, rows, targets) -> int:
         """Append a ``(k, n)`` matrix of raw feature rows and their ``k``
@@ -683,6 +643,8 @@ class OnlineStore:
         m = ds.n_points
         new = np.atleast_2d(self.normalize(rows))
         labels = np.asarray(targets, dtype=float).reshape(-1, 1)
+        if new.shape[0] == labels.shape[0] == 0:
+            return m  # nothing to append: no buffer is made and the snapshot stays
         end = m + new.shape[0]
         if self._buffer is None or end > len(self._buffer[0]):
             capacity = max(end, int(_GROWTH * end))

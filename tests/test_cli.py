@@ -666,14 +666,12 @@ _COMMANDS = {
                  {"--lenient": None}),
     "predict": ([], {"--table": _mostly(["table.csv"], _IN),
                      "--queries": _mostly(["queries.csv", "table.csv"], _IN), "--out": _OUT},
-                {"--scaler": _mostly(["minmax_pm1", "standard", "none"], ["bad"]),
-                 "--parallel": _mostly(["1", "2"], ["0", "-2", "x"])}),
+                {"--parallel": _mostly(["1", "2"], ["0", "-2", "x"])}),
     "append": ([], {"--table": _mostly(["table.csv"], _IN),
                     "--records": _mostly(["records.jsonl"], _IN),
                     "--failure-cycles": _mostly(["fc.json"], _IN)},
                {"--queries": _mostly(["queries.csv", "table.csv"], _IN),
                 "--predictions": _OUT, "--lenient": None,
-                "--scaler": _mostly(["minmax_pm1", "standard", "none"], ["bad"]),
                 "--parallel": _mostly(["1", "2"], ["0", "-2", "x"])}),
     "eval": ([], {"--predictions": _mostly(["queries.csv", "table.csv"], _IN),
                   "--truth": _mostly(["table.csv"], _IN)},
@@ -777,15 +775,11 @@ class TestExitCodeContract:
                                 {"cfg.json": json.dumps(config)})
         assert code == 2 and "usage" in err
 
-    def test_config_value_outside_the_flags_choices_is_a_usage_error(self):
-        predict = ["predict", "--table", "t.csv", "--queries", "t.csv", "--out", "out.csv"]
-        files = {"t.csv": "x1,D\n0.1,0.2\n0.5,0.4\n", "cfg.json": json.dumps({"scaler": "bad"})}
-        code, err = _run_in_tmp(["--config", "cfg.json"] + predict, files)
-        assert code == 2 and "usage" in err and "--scaler" in err and "'bad'" in err
-        assert _run_in_tmp(predict + ["--scaler", "bad"], files)[0] == 2
-        files["cfg.json"] = json.dumps({"scaler": "standard"})
-        assert _run_in_tmp(["--config", "cfg.json"] + predict, files)[0] == 0
-        assert build_parser({"scaler": "none"}).parse_args(predict).scaler == "none"
+    @pytest.mark.parametrize("command", ["predict", "append"])
+    def test_the_store_takes_no_scaler_flag(self, command):
+        argv = (_PREDICT + ["--out", "out.csv"]) if command == "predict" else _APPEND
+        code, err = _run_in_tmp(argv + ["--scaler", "standard"], dict(_SERVE_FILES))
+        assert code == 2 and "unrecognized arguments: --scaler standard" in err
 
     @pytest.mark.parametrize("config", [{"seed": None}, {"k": None}, {"train": None}])
     def test_null_config_value_leaves_the_flag_at_its_default(self, config):
@@ -793,10 +787,10 @@ class TestExitCodeContract:
         code, err = _run_in_tmp(["--config", "cfg.json"] + toy_run, {"cfg.json": json.dumps(config)})
         assert code == 0, err
 
-    # a null scaler stays at its default, and predictor fields name no flag
-    @pytest.mark.parametrize("config", ['{"scaler": null}',
+    # a null parallel stays at its default; the scaler and predictor fields name no flag
+    @pytest.mark.parametrize("config", ['{"parallel": null}', '{"scaler": "standard"}',
                                         '{"threshold_filter": 0.5, "it_local_min": 3}'],
-                             ids=["null-scaler", "predictor-fields"])
+                             ids=["null-parallel", "scaler", "predictor-fields"])
     def test_a_config_that_sets_no_flag_writes_what_no_config_does(self, tmp_path, monkeypatch,
                                                                    config):
         monkeypatch.chdir(tmp_path)
@@ -833,7 +827,7 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("config, argv", [
         ({"func": "x"}, _TOY_RUN), ({"func": "x"}, _PREDICT + ["--out", "out.csv"]),
-        ({"scaler": "bad", "table": 3}, _TOY_RUN),  # flags of other commands
+        ({"queries": "bad", "table": 3}, _TOY_RUN),  # flags of other commands
     ])
     def test_a_config_key_that_names_no_flag_is_ignored(self, config, argv):
         files = {**_SERVE_FILES, "cfg.json": json.dumps(config)}

@@ -114,6 +114,29 @@ class TestFilterConvex:
         with pytest.raises(ParameterError):
             filter_convex(np.array([0.0]), h=0.0, threshold=0.5)
 
+    def test_numpy_scalar_bandwidth_is_read_as_a_python_float(self):
+        d2 = np.random.default_rng(3).uniform(0.0, 2.0, 40)
+        subset = filter_convex(d2, np.float32(0.5), 0.01)
+        assert type(subset.bandwidth) is float
+        ref = filter_convex(d2, float(np.float32(0.5)), 0.01)
+        np.testing.assert_array_equal(subset.indices, ref.indices)
+        np.testing.assert_array_equal(subset.rbf_values, ref.rbf_values)
+        for h in (True, np.bool_(True)):
+            with pytest.raises(ParameterError):
+                filter_convex(d2, h, 0.01)
+
+    @pytest.mark.parametrize("h", [np.float16(0.7), np.float32(0.7), np.float64(0.7),
+                                   np.longdouble(0.7), np.int8(1), np.int64(1), np.uint8(1)],
+                             ids=lambda h: type(h).__name__)
+    def test_every_numpy_bandwidth_filters_as_its_python_float(self, h):
+        d2 = np.random.default_rng(3).uniform(0.0, 2.0, 40)
+        subset = filter_convex(d2, h, 0.01)
+        ref = filter_convex(d2, float(h), 0.01)
+        assert type(subset.bandwidth) is float and subset.bandwidth == ref.bandwidth
+        np.testing.assert_array_equal(subset.indices, ref.indices)
+        np.testing.assert_array_equal(subset.rbf_values, ref.rbf_values)
+        assert subset.rbf_values.dtype == np.float64
+
     def test_rejects_malformed_sq_distances(self):
         for bad in (np.ones((2, 2)), np.array([0.5, np.nan]), np.array([0.5, np.inf]),
                     np.array([0.5, -1e-300])):
@@ -619,6 +642,13 @@ class TestCertifiedStop:
         np.testing.assert_array_equal(pred.neighbor_weights, applied)
 
 
+def _spanning_pm1(x):
+    """``x`` with each column rescaled to span exactly [-1, 1], where an
+    ``OnlineStore``'s min-max scaler is the identity bit for bit."""
+    lo = x.min(axis=0)
+    return 2.0 * (x - lo) / (x.max(axis=0) - lo) - 1.0
+
+
 class TestPreparedNeighborhood:
     """``predict_point`` hands the solve its neighborhood prepared as ``K``."""
 
@@ -675,9 +705,9 @@ class TestPreparedNeighborhood:
 
         monkeypatch.setattr(maxentnn.core, "_spectral_bound", counting)
         rng = np.random.default_rng(0)
-        table = FeatureTable(rng.uniform(-1, 1, (30, 2)), rng.uniform(0, 1, 30),
+        table = FeatureTable(_spanning_pm1(rng.uniform(-1, 1, (30, 2))), rng.uniform(0, 1, 30),
                              columns=("x1", "x2"))
-        store = OnlineStore.from_table(table, scaler_kind=None)
+        store = OnlineStore.from_table(table)
         first = [store.predict(q) for q in ([6.0, 6.0], [-6.0, 5.0])]
         assert [p.n_neighbors for p in first] == [30, 30]
         assert all(p.extrapolated for p in first)
@@ -769,9 +799,9 @@ class TestOneTableArray:
     def test_appended_snapshot_matches_a_dataset_of_its_rows(self, n):
         rng = np.random.default_rng(n)
         m = 30
-        table = FeatureTable(rng.uniform(-1, 1, (m, n)), rng.uniform(0, 1, m),
+        table = FeatureTable(_spanning_pm1(rng.uniform(-1, 1, (m, n))), rng.uniform(0, 1, m),
                              columns=tuple(f"x{j}" for j in range(n)))
-        store = OnlineStore.from_table(table, scaler_kind=None)
+        store = OnlineStore.from_table(table)
         store.append_rows(rng.uniform(-1, 1, (5, n)), rng.uniform(0, 1, 5))
         for row in rng.uniform(-1, 1, (4, n)):
             store.append_row(row, float(rng.uniform()))
@@ -947,6 +977,19 @@ class TestPredictClassification:
 
 
 class TestPredictPoint:
+    def test_default_params_are_one_shared_instance(self, monkeypatch):
+        ds = Dataset(np.random.default_rng(6).uniform(-1, 1, (20, 2)), np.zeros((20, 1)))
+        want = predict_point(ds, [0.1, 0.2], MaxEntParams())
+        assert maxentnn.core._DEFAULT_PARAMS == MaxEntParams()
+
+        def no_new_params(*args, **kwargs):
+            raise AssertionError("a call without params built a MaxEntParams")
+
+        monkeypatch.setattr(maxentnn.core, "MaxEntParams", no_new_params)
+        got = predict_point(ds, [0.1, 0.2])
+        assert got.diagnostics() == want.diagnostics()
+        assert predict_batch(ds, np.array([[0.1, 0.2]]))[0].diagnostics() == want.diagnostics()
+
     def test_duplicate_query_regression(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, (30, 2))
@@ -1171,6 +1214,13 @@ class TestPredictBatch:
             predict_batch(ds, [0.5] * n)
 
 
+_NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+_NUMPY_FLOATS = (np.float16, np.float32, np.float64, np.longdouble)
+_COUNT_FIELDS = ("it_convergence", "it_local_min", "sweep_points", "max_minconvex_rounds")
+_TOLERANCE_FIELDS = ("threshold_filter", "threshold_entropy", "convergence_tolerance",
+                     "local_min_tolerance", "q1_initial_error", "q2_hfilter_increment")
+
+
 class TestParamsValidation:
     def test_defaults_valid(self):
         p = MaxEntParams()
@@ -1201,6 +1251,36 @@ class TestParamsValidation:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             MaxEntParams(**kwargs)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        p = MaxEntParams(it_local_min=np.int64(5), sweep_points=np.int32(8),
+                         threshold_filter=np.float32(0.5), q1_initial_error=np.int64(10))
+        assert p == MaxEntParams(it_local_min=5, sweep_points=8,
+                                 threshold_filter=float(np.float32(0.5)), q1_initial_error=10.0)
+        assert type(p.it_local_min) is int and type(p.sweep_points) is int
+        assert type(p.threshold_filter) is float and type(p.q1_initial_error) is float
+        for kwargs in ({"it_local_min": np.bool_(True)}, {"threshold_filter": np.bool_(True)},
+                       {"it_local_min": np.float64(5.0)}):
+            with pytest.raises(ParameterError):
+                MaxEntParams(**kwargs)
+
+    @pytest.mark.parametrize("dtype", _NUMPY_INTS)
+    def test_a_numpy_integer_count_is_stored_as_an_int(self, dtype):
+        p = MaxEntParams(**{name: dtype(5) for name in _COUNT_FIELDS})
+        assert p == MaxEntParams(**{name: 5 for name in _COUNT_FIELDS})
+        assert all(type(getattr(p, name)) is int for name in _COUNT_FIELDS)
+
+    @pytest.mark.parametrize("dtype", _NUMPY_FLOATS)
+    def test_a_numpy_float_tolerance_is_stored_as_a_float(self, dtype):
+        p = MaxEntParams(**{name: dtype(0.5) for name in _TOLERANCE_FIELDS})
+        assert p == MaxEntParams(**{name: 0.5 for name in _TOLERANCE_FIELDS})
+        assert all(type(getattr(p, name)) is float for name in _TOLERANCE_FIELDS)
+
+    @pytest.mark.parametrize("name", _COUNT_FIELDS + _TOLERANCE_FIELDS)
+    def test_a_numpy_bool_is_refused(self, name):
+        # np.bool_ is no numbers.Integral, but it would pass an int() or float()
+        with pytest.raises(ParameterError):
+            MaxEntParams(**{name: np.bool_(True)})
 
 
 class TestDatasetValidation:

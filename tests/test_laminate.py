@@ -96,6 +96,30 @@ class TestPlyStiffness:
         with pytest.raises(InvalidMaterialError):
             PlyProperties(e1=137.5, e2=8.4, nu12=0.6, g12=6.2, thickness=0.132)
 
+    def test_numpy_scalar_constants_are_stored_as_python_floats(self):
+        ply = PlyProperties(e1=np.float32(137.5), e2=np.float64(8.4), nu12=np.float32(0.309),
+                            g12=np.int64(6), thickness=0.132)
+        assert all(type(getattr(ply, f)) is float for f in ("e1", "e2", "nu12", "g12", "thickness"))
+        assert ply == PlyProperties(e1=137.5, e2=8.4, nu12=float(np.float32(0.309)), g12=6.0,
+                                    thickness=0.132)
+        for bad in ({"e1": True}, {"e1": np.bool_(True)}, {"nu12": np.bool_(True)}, {"nu12": "0.3"}):
+            with pytest.raises(InvalidMaterialError):
+                PlyProperties(**{"e1": 137.5, "e2": 8.4, "nu12": 0.309, "g12": 6.2,
+                                 "thickness": 0.132, **bad})
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble])
+    def test_every_numpy_float_dtype_is_stored_as_a_python_float(self, dtype):
+        constants = {"e1": 137.5, "e2": 8.4, "nu12": 0.309, "g12": 6.2, "thickness": 0.132}
+        ply = PlyProperties(**{f: dtype(v) for f, v in constants.items()})
+        assert all(type(getattr(ply, f)) is float for f in constants)
+        assert ply == PlyProperties(**{f: float(dtype(v)) for f, v in constants.items()})
+
+    @pytest.mark.parametrize("name", ["e1", "e2", "nu12", "g12", "thickness"])
+    def test_a_numpy_bool_constant_is_refused(self, name):
+        constants = {"e1": 137.5, "e2": 8.4, "nu12": 0.309, "g12": 6.2, "thickness": 0.132}
+        with pytest.raises(InvalidMaterialError):
+            PlyProperties(**{**constants, name: np.bool_(True)})
+
 
 class TestRotation:
     def test_zero_angle_is_identity(self):

@@ -676,55 +676,21 @@ class TestCsvColumnAndWriter:
 
 class TestScalers:
     def test_minmax_maps_training_extremes(self):
-        spec = fit_scaler(np.array([[0.0], [10.0]]), "minmax_pm1")
+        spec = fit_scaler(np.array([[0.0], [10.0]]))
         out = apply_scaler(spec, np.array([[0.0], [10.0], [5.0]]))
         np.testing.assert_allclose(out.ravel(), [-1.0, 1.0, 0.0])
 
-    def test_constant_column_flagged_and_zeroed(self):
-        spec = fit_scaler(np.array([[3.0], [3.0]]), "minmax_pm1")
-        assert spec.constant[0]
+    def test_constant_column_is_zeroed(self):
+        spec = fit_scaler(np.array([[3.0], [3.0]]))
+        assert spec.scale[0] == 1.0
         np.testing.assert_array_equal(apply_scaler(spec, np.array([[3.0]])), [[0.0]])
 
-    def test_standard_statistics(self):
-        rng = np.random.default_rng(9)
-        rows = rng.normal(3.0, 2.0, size=(500, 3))
-        out = apply_scaler(fit_scaler(rows, "standard"), rows)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, rtol=1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidInputError):
-            fit_scaler(np.ones((2, 2)), "quantile")
-
-    @pytest.mark.parametrize("m", [1, 2, 7, 8, 33])
-    @pytest.mark.parametrize("width", [1, 2, 3, 7, 40])
-    @pytest.mark.parametrize("block_columns", [1, 2, 3, 6])
-    def test_blocked_standard_statistics_are_the_whole_matrix_bits(
-            self, m, width, block_columns, monkeypatch):
-        # a block asked for 1 column is 2 wide, and 3 columns in blocks of 2
-        # or 6 in blocks of 5 would leave a 1-column last block
-        monkeypatch.setattr(maxentnn.pipeline, "_COLUMN_BLOCK_BYTES", block_columns * 8 * m)
-        rng = np.random.default_rng(100 * m + width)
-        rows = rng.normal(size=(m, width + 1)) * rng.uniform(0.1, 1e3, size=width + 1)
-        # C-ordered rows and the strided view a Dataset's points are
-        for x in (np.ascontiguousarray(rows[:, :-1]), rows[:, :-1]):
-            spec = fit_scaler(x, "standard")
-            std = x.std(axis=0)
-            np.testing.assert_array_equal(spec.center, x.mean(axis=0))
-            np.testing.assert_array_equal(spec.scale, np.where(std == 0.0, 1.0, std))
-            np.testing.assert_array_equal(spec.constant, std == 0.0)
-
-    def test_a_one_column_block_would_change_the_bits(self):
-        # why no block is one column wide: a lone column is summed pairwise
-        x = np.random.default_rng(4).normal(size=(200, 3)) * 1e3
-        lone = np.ascontiguousarray(x[:, 2:])
-        assert not np.array_equal(x.std(axis=0)[2:], lone.std(axis=0))
-
-    def test_standard_fit_allocates_blocks_not_a_table(self):
-        rows = np.random.default_rng(5).normal(size=(1368, 256))
-        peak = _peak_new_bytes(lambda: fit_scaler(rows, "standard"))
-        # the completeness check's booleans are 1/8 of the table, a block 0.19
-        assert peak <= 0.5 * rows.nbytes
+    def test_columns_spanning_pm1_scale_bit_for_bit_to_themselves(self):
+        rows = _spanning_pm1(np.random.default_rng(9).normal(size=(50, 4)))
+        spec = fit_scaler(rows)
+        np.testing.assert_array_equal(spec.center, 0.0)
+        np.testing.assert_array_equal(spec.scale, 1.0)
+        np.testing.assert_array_equal(apply_scaler(spec, rows), rows)
 
 
 class TestImputer:
@@ -758,6 +724,33 @@ class TestImputer:
         if masked and m:
             assert fit_imputer(table.rows).medians[3] == 0.0
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 33])
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("block_columns", [1, 2, 3, 6])
+    def test_blocked_medians_are_the_whole_matrix_bits(self, m, width, block_columns,
+                                                        monkeypatch):
+        # a median is selected, not summed, so no block width changes its bits
+        monkeypatch.setattr(maxentnn.pipeline, "_COLUMN_BLOCK_BYTES", block_columns * 8 * m)
+        rng = np.random.default_rng(100 * m + width)
+        rows = rng.normal(size=(m, width + 1)) * rng.uniform(0.1, 1e3, size=width + 1)
+        if width > 1:
+            rows[0, width // 2] = np.nan  # a gappy column between blocked ones
+        # C-ordered rows and the strided view a Dataset's points are
+        for x in (np.ascontiguousarray(rows[:, :-1]), rows[:, :-1]):
+            reference = np.zeros(width)
+            for j in range(width):
+                live = x[~np.isnan(x[:, j]), j]
+                if live.size:
+                    reference[j] = float(np.median(live))
+            np.testing.assert_array_equal(fit_imputer(x).medians, reference)
+
+
+def _spanning_pm1(x):
+    """``x`` with each column rescaled to span exactly [-1, 1], where the
+    store's min-max scaler is the identity bit for bit."""
+    lo = x.min(axis=0)
+    return 2.0 * (x - lo) / (x.max(axis=0) - lo) - 1.0
+
 
 def random_table(m=100, width=6, seed=0, masked=False):
     rng = np.random.default_rng(seed)
@@ -774,16 +767,15 @@ def random_table(m=100, width=6, seed=0, masked=False):
 class TestPrepareDataset:
     def test_scaled_range(self):
         table = random_table(m=60, masked=True)
-        store = OnlineStore.from_table(table, scaler_kind="minmax_pm1")
-        ds, imputer, scaler = store.snapshot(), store.imputer, store.scaler
+        store = OnlineStore.from_table(table)
+        ds, imputer = store.snapshot(), store.imputer
         assert ds.n_points == 60
         assert ds.points.min() >= -1.0 - 1e-12
         assert ds.points.max() <= 1.0 + 1e-12
-        assert scaler.kind == "minmax_pm1"
         assert imputer.medians.shape == (6,)
 
 
-def _old_store_arrays(rows, kind):
+def _old_store_arrays(rows):
     """Medians, scaler and points as loading computed them with one array per
     step: a whole-table median, a filled copy and ``(x - center) / scale``."""
     missing = np.isnan(rows)
@@ -796,9 +788,7 @@ def _old_store_arrays(rows, kind):
         if live.size:
             medians[j] = float(np.median(live))
     filled = np.where(missing, medians, rows)
-    if kind is None:
-        return medians, None, filled
-    spec = fit_scaler(filled, kind)
+    spec = fit_scaler(filled)
     return medians, spec, (filled - spec.center) / spec.scale
 
 
@@ -838,28 +828,23 @@ class TestOneWorkingCopy:
     """``from_table`` imputes and scales one copy of the table, bit for bit as
     one array per step did, and leaves what the caller passed untouched."""
 
-    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 33])
-    def test_points_medians_and_scaler_match_one_array_per_step(self, kind, m, monkeypatch):
+    def test_points_medians_and_scaler_match_one_array_per_step(self, m, monkeypatch):
         # three rows of eight bytes per block: a 40-column table spans many blocks
         monkeypatch.setattr(maxentnn.pipeline, "_COLUMN_BLOCK_BYTES", 3 * 8 * m)
         table = _loaded_table(m, 40, seed=m)
         rows_before = table.rows.copy()
-        medians, spec, points = _old_store_arrays(table.rows, kind)
-        store = OnlineStore.from_table(table, scaler_kind=kind)
+        medians, spec, points = _old_store_arrays(table.rows)
+        store = OnlineStore.from_table(table)
         np.testing.assert_array_equal(store.imputer.medians, medians)
         np.testing.assert_array_equal(store.snapshot().points, points)
-        if kind is None:
-            assert store.scaler is None
-        else:
-            for field in ("center", "scale", "constant"):
-                np.testing.assert_array_equal(getattr(store.scaler, field), getattr(spec, field))
+        np.testing.assert_array_equal(store.scaler.center, spec.center)
+        np.testing.assert_array_equal(store.scaler.scale, spec.scale)
         np.testing.assert_array_equal(table.rows, rows_before)
 
-    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
-    def test_points_do_not_share_memory_with_the_table(self, kind):
+    def test_points_do_not_share_memory_with_the_table(self):
         table = random_table(m=20, seed=3)
-        store = OnlineStore.from_table(table, scaler_kind=kind)
+        store = OnlineStore.from_table(table)
         assert not np.shares_memory(store.snapshot().points, table.rows)
 
     def test_fortran_ordered_table_loads_as_its_c_ordered_copy(self):
@@ -869,10 +854,9 @@ class TestOneWorkingCopy:
         assert points.strides[1] == 8
         np.testing.assert_array_equal(points, OnlineStore.from_table(table).snapshot().points)
 
-    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard"])
     @pytest.mark.parametrize("blank", [False, True])
-    def test_normalize_returns_a_new_array_and_keeps_its_input(self, kind, blank):
-        store = OnlineStore.from_table(random_table(m=20, seed=3, masked=True), scaler_kind=kind)
+    def test_normalize_returns_a_new_array_and_keeps_its_input(self, blank):
+        store = OnlineStore.from_table(random_table(m=20, seed=3, masked=True))
         queries = np.random.default_rng(8).normal(size=(4, 6))
         if blank:
             queries[1, 2] = np.nan
@@ -883,7 +867,7 @@ class TestOneWorkingCopy:
 
     def test_apply_scaler_in_place_matches_a_new_array(self):
         rows = np.random.default_rng(2).normal(size=(9, 4))
-        spec = fit_scaler(rows, "standard")
+        spec = fit_scaler(rows)
         expected = apply_scaler(spec, rows)
         assert apply_scaler(spec, rows, out=rows) is rows
         np.testing.assert_array_equal(rows, expected)
@@ -911,12 +895,8 @@ def _blank_csv_table(tmp_path, m, width, seed):
 def _assert_same_store(a, b):
     assert a.columns == b.columns
     np.testing.assert_array_equal(a.imputer.medians, b.imputer.medians)
-    if b.scaler is None:
-        assert a.scaler is None
-    else:
-        assert a.scaler.kind == b.scaler.kind
-        for field in ("center", "scale", "constant"):
-            np.testing.assert_array_equal(getattr(a.scaler, field), getattr(b.scaler, field))
+    np.testing.assert_array_equal(a.scaler.center, b.scaler.center)
+    np.testing.assert_array_equal(a.scaler.scale, b.scaler.scale)
     np.testing.assert_array_equal(a.snapshot().points, b.snapshot().points)
     np.testing.assert_array_equal(a.snapshot().labels, b.snapshot().labels)
 
@@ -925,12 +905,11 @@ class TestLoadFromCsv:
     """``OnlineStore.from_csv`` builds the store ``from_table(_reference_table)``
     builds, bit for bit and error for error, in the parsed array itself."""
 
-    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
     @pytest.mark.parametrize("blank", [False, True])
-    def test_store_and_predictions_match_from_table(self, tmp_path, kind, blank):
+    def test_store_and_predictions_match_from_table(self, tmp_path, blank):
         path = _blank_csv_table(tmp_path, 60, 9, seed=7) if blank else _csv_table(tmp_path, 60, 9)
-        a = OnlineStore.from_csv(path, scaler_kind=kind)
-        b = OnlineStore.from_table(_reference_table(path), scaler_kind=kind)
+        a = OnlineStore.from_csv(path)
+        b = OnlineStore.from_table(_reference_table(path))
         _assert_same_store(a, b)
         rng = np.random.default_rng(11)
         raw = _reference_table(path).rows
@@ -969,14 +948,13 @@ class TestLoadFromCsv:
         "x1,x2,D\n",  # header only
         "D\n0.5\n",  # no feature column
     ], ids=["header", "range", "non-finite", "header-only", "no-features"])
-    @pytest.mark.parametrize("kind", ["minmax_pm1", None])
-    def test_errors_match_from_table(self, tmp_path, text, kind):
+    def test_errors_match_from_table(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises((IngestionError, InvalidInputError)) as expected:
-            OnlineStore.from_table(_reference_table(path), scaler_kind=kind)
+            OnlineStore.from_table(_reference_table(path))
         with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-            OnlineStore.from_csv(path, scaler_kind=kind)
+            OnlineStore.from_csv(path)
 
     def test_range_error_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -995,8 +973,7 @@ class TestLoadFromCsv:
             with pytest.raises(IngestionError, match=r":4: damage fraction"):
                 load(path)
 
-    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard"])
-    def test_load_allocates_about_the_parsed_array(self, tmp_path, kind):
+    def test_load_allocates_about_the_parsed_array(self, tmp_path):
         values = np.random.default_rng(6).normal(size=(1368, 257))
         values[:, -1] = np.abs(values[:, -1]) / 10.0
         values[np.random.default_rng(7).random(values.shape) < 0.01] = np.nan
@@ -1007,7 +984,7 @@ class TestLoadFromCsv:
         path = tmp_path / "t.csv"
         path.write_text(text.getvalue().replace("nan", ""))
         nbytes = read_numeric_csv(path)[1].nbytes
-        peak = _peak_new_bytes(lambda: OnlineStore.from_csv(path, scaler_kind=kind))
+        peak = _peak_new_bytes(lambda: OnlineStore.from_csv(path))
         # from_table(_reference_table) holds two tables: about 2.15x
         assert peak <= 1.4 * nbytes
 
@@ -1031,6 +1008,19 @@ class TestOnlineStore:
         assert after.n_points == 11
         assert after.labels[10, 0] == 0.5
 
+    def test_appending_no_rows_keeps_the_snapshot_and_makes_no_buffer(self):
+        store = OnlineStore.from_table(random_table(m=10, seed=2))
+        before = store.snapshot()
+        assert store.append_rows(np.zeros((0, 6)), []) == 10
+        assert store.snapshot() is before and store._buffer is None
+        with pytest.raises(InvalidInputError, match="label rows"):
+            store.append_rows(np.zeros((0, 6)), [0.5])
+        assert store.snapshot() is before
+        store.append_row(np.zeros(6), target=0.5)
+        after, buffer = store.snapshot(), store._buffer
+        assert store.append_rows(np.zeros((0, 6)), []) == 11
+        assert store.snapshot() is after and store._buffer is buffer
+
     def test_append_rejects_a_non_finite_target_and_keeps_serving(self):
         store = OnlineStore.from_table(random_table(m=10, seed=2))
         with pytest.raises(InvalidInputError, match="non-finite"):
@@ -1038,12 +1028,11 @@ class TestOnlineStore:
         assert len(store) == 10
         store.predict(np.zeros(6))
 
-    @pytest.mark.parametrize("kind", ["minmax_pm1", "standard", None])
-    def test_from_table_points_are_the_imputed_scaled_rows(self, kind):
+    def test_from_table_points_are_the_imputed_scaled_rows(self):
         table = random_table(m=40, seed=9, masked=True)
         filled = apply_imputer(fit_imputer(table.rows), table.rows)
-        expected = filled if kind is None else apply_scaler(fit_scaler(filled, kind), filled)
-        store = OnlineStore.from_table(table, scaler_kind=kind)
+        expected = apply_scaler(fit_scaler(filled), filled)
+        store = OnlineStore.from_table(table)
         np.testing.assert_array_equal(store.snapshot().points, expected)
         np.testing.assert_array_equal(store.snapshot().labels[:, 0], table.targets)
 
@@ -1109,7 +1098,8 @@ class TestOnlineStore:
 
     def test_appended_row_is_not_the_callers_array(self):
         table = random_table(m=10, seed=2)
-        store = OnlineStore.from_table(table, scaler_kind=None)
+        store = OnlineStore.from_table(FeatureTable(_spanning_pm1(table.rows), table.targets,
+                                                    table.columns))
         row = np.full(6, 0.25)
         idx = store.append_row(row, target=0.5)
         row[:] = 9.0
@@ -1117,7 +1107,8 @@ class TestOnlineStore:
 
     def test_appended_rows_are_not_the_callers_array(self):
         table = random_table(m=10, seed=2)
-        store = OnlineStore.from_table(table, scaler_kind=None)
+        store = OnlineStore.from_table(FeatureTable(_spanning_pm1(table.rows), table.targets,
+                                                    table.columns))
         rows = np.full((3, 6), 0.25)
         store.append_rows(rows, [0.1, 0.2, 0.3])
         points = store.snapshot().points
@@ -1132,9 +1123,9 @@ class TestOnlineStore:
         rng = np.random.default_rng(42)
         cloud = rng.uniform(-1.0, 1.0, size=(60, 2))
         keep = np.linalg.norm(cloud, axis=1) > 0.3
-        cloud = cloud[keep]
+        cloud = _spanning_pm1(cloud[keep])
         table = FeatureTable(cloud, np.zeros(cloud.shape[0]), columns=("x1", "x2"))
-        store = OnlineStore.from_table(table, scaler_kind=None)
+        store = OnlineStore.from_table(table)
         query = np.array([0.0, 0.0])
         trace = [float(np.asarray(store.predict(query).value).ravel()[0])]
         for i in range(100):
@@ -1151,7 +1142,7 @@ class TestOnlineStore:
         record = baseline_record(2)
         features, _, target = build_feature_row(record, failure_cycles=FAILURE_CYCLES)
         table = FeatureTable(features.reshape(1, -1), np.array([target]))
-        store = OnlineStore.from_table(table, scaler_kind=None)
+        store = OnlineStore.from_table(table)
         appended = FeatureTable.from_records([record], failure_cycles=FAILURE_CYCLES)
         idx = store.append_rows(appended.rows, appended.targets)
         assert idx == 1
@@ -1404,8 +1395,8 @@ class TestScalerAbsorbsAffineTransforms:
         warped = FeatureTable(rows * gains + offsets, targets, cols)
         queries = rng.normal(size=(10, 5))
 
-        store_plain = OnlineStore.from_table(plain, scaler_kind="minmax_pm1")
-        store_warped = OnlineStore.from_table(warped, scaler_kind="minmax_pm1")
+        store_plain = OnlineStore.from_table(plain)
+        store_warped = OnlineStore.from_table(warped)
 
         for q in queries:
             a = store_plain.predict(q)
