@@ -5,7 +5,8 @@ features (records -> feature table), predict (batch prediction), append
 (online ingestion), eval (metrics between predictions and targets).
 
 Exit codes are stable for scripting: 0 success, 2 usage or validation
-error, 1 runtime failure. Every command is deterministic given its flags,
+error, 1 runtime failure. Every setting is a flag on the command line;
+there is no config file. Every command is deterministic given its flags,
 input files and seed; ``--parallel`` never changes output bytes. Every
 command predicts with the published defaults, ``MaxEntParams()``; other
 predictor parameters are set through the library.
@@ -45,18 +46,6 @@ def _add_store_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--table", required=True, help="training CSV, target column 'D' last")
     # predict_batch runs below 1 as one thread and caps the count at os.cpu_count()
     sp.add_argument("--parallel", type=int, default=1)
-
-
-def _read_json_object(path: str, error, what: str) -> dict:
-    """The JSON object in ``path``; anything else raises ``error``."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(f"{path}: malformed JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise error(f"{path}: expected a JSON object of {what}")
-    return obj
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -122,7 +111,13 @@ def _cmd_clt(args) -> int:
 
 def _read_failure_cycles(path: str) -> dict:
     """Coupon id -> cycles at failure, from a JSON object of integers."""
-    counts = _read_json_object(path, IngestionError, "coupon id -> cycles at failure")
+    with open(path) as fh:
+        try:
+            counts = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise IngestionError(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(counts, dict):
+        raise IngestionError(f"{path}: expected a JSON object of coupon id -> cycles at failure")
     for coupon, cycles in counts.items():
         if not isinstance(cycles, int) or isinstance(cycles, bool):
             raise IngestionError(
@@ -148,7 +143,12 @@ def _cmd_features(args) -> int:
 def _column_diff(expected, got) -> str:
     missing = [c for c in expected if c not in got]
     extra = [c for c in got if c not in expected]
-    return f"missing={missing[:8]} unexpected={extra[:8]}"
+    if missing or extra:
+        return f"missing={missing[:8]} unexpected={extra[:8]}"
+    if len(got) != len(expected):
+        return f"{len(got)} columns for the table's {len(expected)}"
+    i = next(i for i, (want, have) in enumerate(zip(expected, got)) if want != have)
+    return f"column {i + 1} is {got[i]!r} where the table has {expected[i]!r}"
 
 
 def _load_queries(path: str, feature_columns):
@@ -157,8 +157,9 @@ def _load_queries(path: str, feature_columns):
         return data[:, :-1]
     if header == list(feature_columns):
         return data
+    names = header[:-1] if header[-1:] == ["D"] else header  # a target column is ignored
     raise MaxentError(f"{path}: query columns do not match the table: "
-                      + _column_diff(feature_columns, header))
+                      + _column_diff(feature_columns, names))
 
 
 def _serve(store, queries, workers, path) -> int:
@@ -237,16 +238,11 @@ def _cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """CLI parser; ``defaults`` (from a config file) become the defaults of
-    the flags with those dests, on each subcommand that declares one. A key
-    that names no flag of a subcommand is ignored there."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxentnn",
         description="Self-tuning maximum-entropy neighbor prediction toolkit",
     )
-    parser.add_argument("--config", default=None,
-                        help="JSON file of flag defaults (dest names as keys)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for tag, kind in (("toy-reg", "regression"), ("toy-clf", "classification")):
@@ -300,35 +296,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--truth-col", default="D")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_eval)
-
-    # a null config value leaves its flag at the parser's own default
-    defaults = {dest: value for dest, value in (defaults or {}).items() if value is not None}
-    for child in sub.choices.values():
-        for action in child._actions:
-            if action.option_strings and action.dest in defaults:
-                # argparse converts, and so type-checks, only string defaults,
-                # on the command run: a flag that takes a value gets the text
-                # a command line would give it
-                value = defaults[action.dest]
-                action.default = value if action.nargs == 0 else str(value)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        # pre-scan for --config so file values become flag defaults
-        probe = argparse.ArgumentParser(add_help=False)
-        probe.add_argument("--config", default=None)
-        known, _ = probe.parse_known_args(argv)
-        defaults = (_read_json_object(known.config, _UsageError, "flag defaults")
-                    if known.config else None)
-        parser = build_parser(defaults)
-        args = parser.parse_args(argv)
-    except (OSError, _UsageError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
@@ -336,10 +309,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except MaxentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MaxentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -247,13 +247,17 @@ def write_csv(path, header, rows) -> None:
 
 def _checked_targets(path, header: list, data: np.ndarray) -> np.ndarray:
     """The target column of a parsed table, a view of ``data``; raises an
-    IngestionError unless the header ends in ``D`` and every target lies in
-    [0, 1]."""
+    IngestionError unless the header ends in ``D`` after a feature column,
+    the table has a row and every target lies in [0, 1]."""
     if header[-1:] != [TARGET_COLUMN]:
         raise IngestionError(
             f"{path}: header mismatch: the last column must be the target "
             f"{TARGET_COLUMN!r}, got {header[-1:]}"
         )
+    if len(header) < 2:
+        raise IngestionError(f"{path}: the table has no feature columns")
+    if not len(data):
+        raise IngestionError(f"{path}: the table has no rows")
     targets = data[:, -1]
     outside = ~((targets >= 0.0) & (targets <= 1.0))
     if outside.any():

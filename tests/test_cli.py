@@ -309,6 +309,37 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert "x2" in err and "zz" in err
 
+    @pytest.mark.parametrize("header, diff", [
+        ("x2,x1", "column 1 is 'x2' where the table has 'x1'"),
+        ("x2,x1,D", "column 1 is 'x2' where the table has 'x1'"),  # the target is ignored
+        ("x1,x1,x2,D", "3 columns for the table's 2"),
+        ("x1,x2,x2", "3 columns for the table's 2"),
+    ])
+    def test_same_names_in_another_order_or_count_say_where(self, tmp_path, capsys, header,
+                                                             diff):
+        table = tmp_path / "table.csv"
+        _toy_table_csv(table)
+        queries = tmp_path / "queries.csv"
+        queries.write_text(header + "\n" + ",".join(["0.5"] * header.count(",")) + ",0.5\n")
+        assert main(["predict", "--table", str(table), "--queries", str(queries),
+                     "--out", str(tmp_path / "pred.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {queries}: query columns do not match the table: {diff}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2,D\n", "the table has no rows"),
+        ("D\n0.5\n0.2\n", "the table has no feature columns"),
+    ])
+    def test_a_table_without_rows_or_features_exits_1_naming_it(self, tmp_path, capsys, text,
+                                                                 message):
+        table = tmp_path / "t.csv"
+        table.write_text(text)
+        queries = tmp_path / "q.csv"
+        queries.write_text("x1,x2\n0.5,0.5\n")
+        assert main(["predict", "--table", str(table), "--queries", str(queries),
+                     "--out", str(tmp_path / "pred.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {table}: {message}\n"
+
 
 class TestAppendAndEval:
     def test_append_then_predict_returns_target(self, tmp_path, capsys):
@@ -426,28 +457,6 @@ class TestAppendAndEval:
             assert main(["eval", "--predictions", str(preds), "--truth", str(truth)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: metrics are not finite")
-
-
-class TestConfigFile:
-    def test_config_supplies_defaults_flags_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"train": 30, "eval": 5, "seed": 11}))
-        out = tmp_path / "out"
-        assert main(["--config", str(cfg), "toy-reg", "--out-dir", str(out)]) == 0
-        payload = json.loads((out / "toy_reg_metrics.json").read_text())
-        assert payload["maxent"]["seed"] == 11
-        out2 = tmp_path / "out2"
-        assert main(["--config", str(cfg), "toy-reg", "--seed", "3",
-                     "--out-dir", str(out2)]) == 0
-        payload2 = json.loads((out2 / "toy_reg_metrics.json").read_text())
-        assert payload2["maxent"]["seed"] == 3
-
-
-    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"train": 30,')
-        assert main(["--config", str(cfg), "toy-reg", "--out-dir", str(tmp_path / "x")]) == 2
-        assert "usage error:" in capsys.readouterr().err
 
 
 class TestQueryFileVariants:
@@ -632,13 +641,6 @@ _FILE_CONTENTS = st.fixed_dictionaries({
     "fc.json": _one_in(5).flatmap(lambda odd: st.text(max_size=20) if odd else (
         st.dictionaries(st.sampled_from(["c1", "c2"]), _mostly([100, 1000], _JSON_ODDITIES),
                         min_size=1, max_size=2).map(json.dumps))),
-    "config.json": st.one_of(
-        st.dictionaries(st.sampled_from(["train", "eval", "k", "seed", "parallel", "scaler",
-                                         "it_convergence", "threshold_filter", "e1", "lenient",
-                                         "func", "command"]),
-                        _mostly(["2", 3, 0.5], _JSON_ODDITIES), min_size=1, max_size=12
-                        ).map(json.dumps),
-        st.text(max_size=20)),
 })
 
 _IN = ["missing.csv", "."]
@@ -690,8 +692,6 @@ def _argvs(draw):
             if draw(dropped):
                 continue
             argv += [flag] if values is None else [flag, draw(values)]
-    if draw(_one_in(2)):
-        argv = ["--config", draw(_mostly(["config.json"], _IN))] + argv
     if draw(_one_in(10)):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "-"])))
     return argv
@@ -705,7 +705,7 @@ def _run_in_tmp(argv, files):
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         err = io.StringIO()
-        os.chdir(tmp)  # relative paths, config-file ones included, stay inside tmp
+        os.chdir(tmp)  # relative paths stay inside tmp
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
@@ -768,12 +768,40 @@ class TestExitCodeContract:
         code, err = _run_in_tmp(["clt", f"[0_{10**30}]"], {})
         assert code == 2 and "usage" in err and "plies" in err
 
-    @pytest.mark.parametrize("config", [{"seed": 2.5}, {"seed": -1}, {"k": [2]},
-                                        {"parallel": "x"}])
-    def test_config_values_are_checked_as_flag_values(self, config):
-        code, err = _run_in_tmp(["--config", "cfg.json"] + _TOY_RUN,
-                                {"cfg.json": json.dumps(config)})
-        assert code == 2 and "usage" in err
+    @pytest.mark.parametrize("argv, flag", [
+        (_TOY_RUN + ["--seed", "2.5"], "--seed"), (_TOY_RUN + ["--k", "[2]"], "--k"),
+        (_TOY_RUN + ["--parallel", "x"], "--parallel"),
+        (_PREDICT + ["--out", "out.csv", "--parallel", "0.5"], "--parallel"),
+        (_APPEND + ["--parallel", "[2]"], "--parallel"), (["clt", "[0]", "--e1", "x"], "--e1"),
+    ])
+    def test_a_flag_value_of_the_wrong_type_is_a_usage_error(self, argv, flag):
+        code, err = _run_in_tmp(argv, dict(_SERVE_FILES))
+        assert code == 2 and err.startswith("usage: maxentnn") and flag in err
+
+    # every setting a command takes, with nothing but its required arguments given
+    @pytest.mark.parametrize("argv, settings", [
+        (["toy-reg"], {"seed": 7, "train": 500, "eval": 50, "k": 5, "out_dir": "toy_out",
+                       "parallel": 1}),
+        (["toy-clf"], {"seed": 7, "train": 500, "eval": 50, "k": 5, "out_dir": "toy_out",
+                       "parallel": 1}),
+        (["clt", "[0]"], {"layup": "[0]", "e1": T700_PLY.e1, "e2": T700_PLY.e2,
+                          "nu12": T700_PLY.nu12, "g12": T700_PLY.g12,
+                          "thickness": T700_PLY.thickness, "out": None}),
+        (_FEATURES, {"records": "records.jsonl", "failure_cycles": "fc.json", "out": "out.csv",
+                     "lenient": False}),
+        (_PREDICT + ["--out", "out.csv"], {"table": "t.csv", "queries": "q.csv",
+                                           "out": "out.csv", "parallel": 1}),
+        (_APPEND[:-2], {"table": "t.csv", "records": "none.jsonl", "failure_cycles": "fc.json",
+                        "queries": None, "predictions": "predictions.csv", "lenient": False,
+                        "parallel": 1}),
+        (["eval", "--predictions", "p.csv", "--truth", "t.csv"],
+         {"predictions": "p.csv", "truth": "t.csv", "pred_col": "prediction", "truth_col": "D",
+          "out": None}),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_an_omitted_flag_takes_its_default(self, argv, settings):
+        args = vars(build_parser().parse_args(argv))
+        assert args.pop("command") == argv[0] and callable(args.pop("func"))
+        assert args == settings
 
     @pytest.mark.parametrize("command", ["predict", "append"])
     def test_the_store_takes_no_scaler_flag(self, command):
@@ -781,61 +809,12 @@ class TestExitCodeContract:
         code, err = _run_in_tmp(argv + ["--scaler", "standard"], dict(_SERVE_FILES))
         assert code == 2 and "unrecognized arguments: --scaler standard" in err
 
-    @pytest.mark.parametrize("config", [{"seed": None}, {"k": None}, {"train": None}])
-    def test_null_config_value_leaves_the_flag_at_its_default(self, config):
-        toy_run = ["toy-reg", "--eval", "3", "--out-dir", "toy"]  # --train left at 500
-        code, err = _run_in_tmp(["--config", "cfg.json"] + toy_run, {"cfg.json": json.dumps(config)})
-        assert code == 0, err
-
-    # a null parallel stays at its default; the scaler and predictor fields name no flag
-    @pytest.mark.parametrize("config", ['{"parallel": null}', '{"scaler": "standard"}',
-                                        '{"threshold_filter": 0.5, "it_local_min": 3}'],
-                             ids=["null-parallel", "scaler", "predictor-fields"])
-    def test_a_config_that_sets_no_flag_writes_what_no_config_does(self, tmp_path, monkeypatch,
-                                                                   config):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "t.csv").write_text("x1,D\n0.1,0.2\n0.5,0.4\n0.9,0.3\n")
-        (tmp_path / "q.csv").write_text("x1\n0.3\n")  # not a table row, so scaling shows
-        (tmp_path / "cfg.json").write_text(config)
-        predict = ["predict", "--table", "t.csv", "--queries", "q.csv"]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["--config", "cfg.json"] + predict + ["--out", "config.csv"]) == 0
-            assert main(predict + ["--out", "plain.csv"]) == 0
-        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
-
-    def test_config_values_of_the_flags_types_still_apply(self):
-        config = {"seed": 3, "k": 2, "parallel": None}
-        args = build_parser(config).parse_args(_TOY_RUN)
-        assert (args.seed, args.k, args.parallel) == (3, 2, 1)
-        assert build_parser({"e1": 1.5e11}).parse_args(["clt", "[0]"]).e1 == 1.5e11
-        assert build_parser({"lenient": 0}).parse_args(_FEATURES).lenient == 0
-
-    def test_a_config_parallel_on_append_writes_what_predict_writes(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        for name, text in {**_SERVE_FILES, "cfg.json": '{"parallel": "2"}'}.items():
-            (tmp_path / name).write_text(text)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["--config", "cfg.json"] + _APPEND + ["--predictions", "append.csv"]) == 0
-            assert main(["--config", "cfg.json"] + _PREDICT + ["--out", "predict.csv"]) == 0
-        assert (tmp_path / "append.csv").read_bytes() == (tmp_path / "predict.csv").read_bytes()
-
-    @pytest.mark.parametrize("value", [[2], 0.5])
-    def test_a_config_parallel_on_append_is_checked_as_the_flag(self, value):
-        files = {**_SERVE_FILES, "cfg.json": json.dumps({"parallel": value})}
-        code, err = _run_in_tmp(["--config", "cfg.json"] + _APPEND, files)
-        assert code == 2 and "--parallel" in err
-
-    @pytest.mark.parametrize("config, argv", [
-        ({"func": "x"}, _TOY_RUN), ({"func": "x"}, _PREDICT + ["--out", "out.csv"]),
-        ({"queries": "bad", "table": 3}, _TOY_RUN),  # flags of other commands
-    ])
-    def test_a_config_key_that_names_no_flag_is_ignored(self, config, argv):
-        files = {**_SERVE_FILES, "cfg.json": json.dumps(config)}
-        code, err = _run_in_tmp(["--config", "cfg.json"] + argv, files)
-        assert code == 0, err
-        parser = build_parser({"func": "x", "command": "x", "e1": 3})
-        args = parser.parse_args(_PREDICT + ["--out", "out.csv"])
-        assert args.command == "predict" and callable(args.func) and not hasattr(args, "e1")
+    @pytest.mark.parametrize("argv", [["--config", "cfg.json"] + _PREDICT + ["--out", "o.csv"],
+                                      _PREDICT + ["--out", "o.csv", "--config", "cfg.json"]],
+                             ids=["before-the-command", "after-it"])
+    def test_there_is_no_config_file(self, argv):
+        code, err = _run_in_tmp(argv, {**_SERVE_FILES, "cfg.json": '{"parallel": 2}'})
+        assert code == 2 and err.startswith("usage: maxentnn")
 
 
 _WITHOUT_SCIPY = """

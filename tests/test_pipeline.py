@@ -956,6 +956,17 @@ class TestLoadFromCsv:
         with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
             OnlineStore.from_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2,D\n", "the table has no rows"),
+        ("D\n0.5\n0.2\n", "the table has no feature columns"),
+        ("D\n", "the table has no feature columns"),
+    ], ids=["header-only", "target-only", "target-header-only"])
+    def test_a_table_without_rows_or_features_is_named_as_such(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(IngestionError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            OnlineStore.from_csv(path)
+
     def test_range_error_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,D\n0.1,0.5\n0.2,1.5\n")
